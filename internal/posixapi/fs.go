@@ -44,7 +44,7 @@ func registerFileDir(m map[string]Impl) {
 			}
 		} else if flags&0x200 != 0 { // O_TRUNC without O_CREAT
 			if n, err := fsys.Stat(path); err == nil && !n.IsDir() {
-				n.Data = nil
+				n.SetData(nil)
 			}
 		}
 		of, err := fsys.Open(path, readable, writable)

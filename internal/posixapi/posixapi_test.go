@@ -30,7 +30,7 @@ func newProc(t *testing.T) (*kern.Kernel, *kern.Process) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Data = []byte("posix fixture data")
+	n.SetData([]byte("posix fixture data"))
 	_ = k.FS.MkdirAll("/scratch", 0o7)
 	return k, k.NewProcess()
 }
@@ -446,5 +446,27 @@ func TestLseek(t *testing.T) {
 	c = run(t, k, p, "lseek", api.Int(0), api.Int(0), api.Int(0))
 	if c.Out.Err != api.ESPIPE {
 		t.Errorf("lseek on pipe: %+v", c.Out)
+	}
+}
+
+// TestTruncateGrowIsSparseAndOTruncClears: truncate to the 0x7FFFFFFF
+// boundary value reports the full size without materializing it, and a
+// later open with O_TRUNC empties the file, zero tail included.
+func TestTruncateGrowIsSparseAndOTruncClears(t *testing.T) {
+	k, p := newProc(t)
+	path := cstr(t, p, "/bl/readable.txt")
+	if c := run(t, k, p, "truncate", api.Ptr(path), api.Int(0x7FFFFFFF)); c.Out.Ret != 0 {
+		t.Fatalf("truncate: %+v", c.Out)
+	}
+	n, err := k.FS.Stat("/bl/readable.txt")
+	if err != nil || n.Size() != 0x7FFFFFFF {
+		t.Fatalf("size after truncate: %v %d", err, n.Size())
+	}
+	c := run(t, k, p, "open", api.Ptr(path), api.Int(0x2|0x200), api.Int(0))
+	if c.Out.Ret < 0 {
+		t.Fatalf("open(O_RDWR|O_TRUNC): %+v", c.Out)
+	}
+	if n.Size() != 0 {
+		t.Errorf("O_TRUNC left size %d", n.Size())
 	}
 }

@@ -6,6 +6,15 @@
 // filesystem is deliberately simple — nodes, bytes, attributes and
 // timestamps — because the paper's tests exercise argument validation at
 // the API boundary, not filesystem semantics.
+//
+// File growth is sparse.  A node stores the bytes written to it plus a
+// count of zero bytes that follow them, so truncating a file up to
+// 0x7FFFFFFF bytes (a boundary value the test suites pass to
+// ftruncate/SetEndOfFile) costs a counter, not 2 GiB.  Size reports the
+// logical length, reads of the zero tail return zeros, and a write
+// materializes bytes only up to its own end.  Only this package sees the
+// split; everything else goes through Size, SetData, ReadAt, Bytes and
+// HasContent.
 package fs
 
 import (
@@ -61,7 +70,11 @@ type Node struct {
 	children map[string]*Node
 	parent   *Node
 
-	Data  []byte
+	// data holds the written bytes; zeros more zero bytes follow them
+	// (sparse growth), so the logical size is len(data)+zeros.
+	data  []byte
+	zeros int64
+
 	Mode  uint16 // rwx for owner only; simplified
 	Attrs Attr
 	// Times are simulated ticks, not wall-clock, to keep runs
@@ -79,7 +92,69 @@ func (n *Node) Name() string { return n.name }
 func (n *Node) IsDir() bool { return n.dir }
 
 // Size returns the file size in bytes (0 for directories).
-func (n *Node) Size() int64 { return int64(len(n.Data)) }
+func (n *Node) Size() int64 { return int64(len(n.data)) + n.zeros }
+
+// SetData replaces the file's contents with b, which the node keeps.
+func (n *Node) SetData(b []byte) {
+	n.data = b
+	n.zeros = 0
+}
+
+// CopyData makes the file's contents a copy of src's, zero tail
+// included, without materializing the tail.
+func (n *Node) CopyData(src *Node) {
+	n.data = append([]byte(nil), src.data...)
+	n.zeros = src.zeros
+}
+
+// ReadAt copies the file's bytes at off into p and returns how many it
+// copied: fewer than len(p) only at end of file.
+func (n *Node) ReadAt(p []byte, off int64) int {
+	size := n.Size()
+	if off >= size {
+		return 0
+	}
+	if rest := size - off; int64(len(p)) > rest {
+		p = p[:rest]
+	}
+	k := 0
+	if off < int64(len(n.data)) {
+		k = copy(p, n.data[off:])
+	}
+	clear(p[k:])
+	return len(p)
+}
+
+// Bytes returns a copy of the file's whole contents, zero tail included.
+func (n *Node) Bytes() []byte {
+	b := make([]byte, n.Size())
+	n.ReadAt(b, 0)
+	return b
+}
+
+// HasContent reports whether the file's contents are exactly s.
+func (n *Node) HasContent(s string) bool {
+	if n.Size() != int64(len(s)) || string(n.data) != s[:len(n.data)] {
+		return false
+	}
+	for i := len(n.data); i < len(s); i++ {
+		if s[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// grow materializes the file's bytes up to end, zero-filled, consuming
+// as much of the zero tail as it covers.
+func (n *Node) grow(end int64) {
+	have := int64(len(n.data))
+	if end <= have {
+		return
+	}
+	n.zeros = max(0, have+n.zeros-end)
+	n.data = append(n.data, make([]byte, end-have)...)
+}
 
 // Nlink returns the link count.
 func (n *Node) Nlink() int { return n.nlink }
@@ -125,24 +200,30 @@ func New(clock func() uint64) *FileSystem {
 	return &FileSystem{root: root, clock: clock}
 }
 
-// Split normalizes a path into components.  It strips a drive prefix and
-// treats '/' and '\' identically.  An empty path or one containing NUL is
-// invalid.
-func Split(path string) ([]string, error) {
-	if path == "" || strings.ContainsRune(path, 0) {
+// maxDepth is how many path components a lookup holds without
+// allocating; deeper paths spill to the heap.
+const maxDepth = 16
+
+// split normalizes path into components, appending them to dst (callers
+// pass a [maxDepth]string buffer so a walk allocates nothing).  It strips
+// a drive prefix, treats '/' and '\' identically, drops empty and "."
+// components and lets ".." remove the previous one (never past the
+// root).  An empty path or one containing NUL is invalid.  Every
+// component is a substring of path.
+func split(dst []string, path string) ([]string, error) {
+	if path == "" || strings.IndexByte(path, 0) >= 0 {
 		return nil, ErrInvalidPath
 	}
 	if len(path) >= 2 && path[1] == ':' {
 		path = path[2:]
-		if path == "" {
-			path = "/"
-		}
 	}
-	path = strings.ReplaceAll(path, "\\", "/")
-	parts := strings.Split(path, "/")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		switch p {
+	out := dst[:0]
+	for start := 0; start <= len(path); {
+		end := start
+		for end < len(path) && path[end] != '/' && path[end] != '\\' {
+			end++
+		}
+		switch p := path[start:end]; p {
 		case "", ".":
 		case "..":
 			if len(out) > 0 {
@@ -151,12 +232,14 @@ func Split(path string) ([]string, error) {
 		default:
 			out = append(out, p)
 		}
+		start = end + 1
 	}
 	return out, nil
 }
 
 func (f *FileSystem) lookup(path string) (*Node, error) {
-	parts, err := Split(path)
+	var buf [maxDepth]string
+	parts, err := split(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +258,8 @@ func (f *FileSystem) lookup(path string) (*Node, error) {
 }
 
 func (f *FileSystem) lookupParent(path string) (dir *Node, base string, err error) {
-	parts, err := Split(path)
+	var buf [maxDepth]string
+	parts, err := split(buf[:0], path)
 	if err != nil {
 		return nil, "", err
 	}
@@ -227,7 +311,7 @@ func (f *FileSystem) Create(path string, mode uint16, trunc bool) (*Node, error)
 			return nil, ErrPerm
 		}
 		if trunc {
-			c.Data = nil
+			c.SetData(nil)
 			c.WriteTime = f.clock()
 			f.logTruncate(c, 0)
 		}
@@ -263,10 +347,16 @@ func (f *FileSystem) Mkdir(path string, mode uint16) error {
 	if _, ok := dir.children[base]; ok {
 		return ErrExists
 	}
+	_, err = f.mkdirIn(dir, base, mode)
+	return err
+}
+
+// mkdirIn creates directory base, which must not exist, inside dir.
+func (f *FileSystem) mkdirIn(dir *Node, base string, mode uint16) (*Node, error) {
 	// A new directory consumes a block from the same volume-wide budget
 	// as file creation and data growth.
 	if _, ok := f.fault(chaos.OpFSDisk, "disk"); ok {
-		return ErrNoSpace
+		return nil, ErrNoSpace
 	}
 	now := f.clock()
 	n := &Node{
@@ -276,21 +366,29 @@ func (f *FileSystem) Mkdir(path string, mode uint16) error {
 	}
 	dir.children[base] = n
 	f.logMkdir(dir, base, n)
-	return nil
+	return n, nil
 }
 
-// MkdirAll creates a directory and any missing parents.
+// MkdirAll creates a directory and any missing parents.  An existing
+// file as the last component is not an error; one in the middle is.
 func (f *FileSystem) MkdirAll(path string, mode uint16) error {
-	parts, err := Split(path)
+	var buf [maxDepth]string
+	parts, err := split(buf[:0], path)
 	if err != nil {
 		return err
 	}
-	cur := ""
+	n := f.root
 	for _, p := range parts {
-		cur += "/" + p
-		if err := f.Mkdir(cur, mode); err != nil && !errors.Is(err, ErrExists) {
-			return err
+		if !n.dir {
+			return ErrNotDir
 		}
+		c, ok := n.children[p]
+		if !ok {
+			if c, err = f.mkdirIn(n, p, mode); err != nil {
+				return err
+			}
+		}
+		n = c
 	}
 	return nil
 }
@@ -495,7 +593,7 @@ func (f *FileSystem) String() string {
 		if n.dir {
 			b.WriteString("/")
 		} else {
-			fmt.Fprintf(&b, " (%d bytes)", len(n.Data))
+			fmt.Fprintf(&b, " (%d bytes)", n.Size())
 		}
 		b.WriteString("\n")
 		if n.dir {

@@ -2,8 +2,11 @@ package fs
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"ballista/internal/chaos"
 )
 
 func newFS() *FileSystem { return New(nil) }
@@ -17,7 +20,7 @@ func TestCreateStatRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Data = []byte("hi")
+	n.SetData([]byte("hi"))
 	got, err := f.Stat("/a/b/x.txt")
 	if err != nil || got.Size() != 2 {
 		t.Fatalf("Stat: %v size %d", err, got.Size())
@@ -47,10 +50,10 @@ func TestPathStyles(t *testing.T) {
 }
 
 func TestSplitInvalid(t *testing.T) {
-	if _, err := Split(""); !errors.Is(err, ErrInvalidPath) {
+	if _, err := split(nil, ""); !errors.Is(err, ErrInvalidPath) {
 		t.Error("empty path should be invalid")
 	}
-	if _, err := Split("a\x00b"); !errors.Is(err, ErrInvalidPath) {
+	if _, err := split(nil, "a\x00b"); !errors.Is(err, ErrInvalidPath) {
 		t.Error("NUL in path should be invalid")
 	}
 }
@@ -96,7 +99,7 @@ func TestRename(t *testing.T) {
 	_ = f.MkdirAll("/a", 0o7)
 	_ = f.MkdirAll("/b", 0o7)
 	n, _ := f.Create("/a/x", 0o6, false)
-	n.Data = []byte("payload")
+	n.SetData([]byte("payload"))
 	if err := f.Rename("/a/x", "/b/y"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +107,8 @@ func TestRename(t *testing.T) {
 		t.Error("source still present after Rename")
 	}
 	got, err := f.Stat("/b/y")
-	if err != nil || string(got.Data) != "payload" {
-		t.Errorf("target: %v %q", err, got.Data)
+	if err != nil || string(got.Bytes()) != "payload" {
+		t.Errorf("target: %v %q", err, got.Bytes())
 	}
 }
 
@@ -127,7 +130,7 @@ func TestReadOnlyEnforcement(t *testing.T) {
 func TestOpenFileIO(t *testing.T) {
 	f := newFS()
 	n, _ := f.Create("/x", 0o6, false)
-	n.Data = []byte("0123456789")
+	n.SetData([]byte("0123456789"))
 	of, err := f.Open("/x", true, true)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +146,8 @@ func TestOpenFileIO(t *testing.T) {
 	if _, err := of.Write([]byte("ZZZZ")); err != nil {
 		t.Fatal(err)
 	}
-	if string(n.Data) != "01234567ZZZZ" {
-		t.Errorf("after write: %q", n.Data)
+	if string(n.Bytes()) != "01234567ZZZZ" {
+		t.Errorf("after write: %q", n.Bytes())
 	}
 	if _, err := of.Seek(-100, SeekCur); err == nil {
 		t.Error("negative seek should fail")
@@ -163,19 +166,176 @@ func TestOpenFileIO(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	f := newFS()
 	n, _ := f.Create("/x", 0o6, false)
-	n.Data = []byte("0123456789")
-	of, _ := f.Open("/x", false, true)
+	n.SetData([]byte("0123456789"))
+	of, _ := f.Open("/x", true, true)
 	if err := of.Truncate(4); err != nil {
 		t.Fatal(err)
 	}
-	if string(n.Data) != "0123" {
-		t.Errorf("Truncate(4): %q", n.Data)
+	if string(n.Bytes()) != "0123" {
+		t.Errorf("Truncate(4): %q", n.Bytes())
 	}
 	if err := of.Truncate(8); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Data) != 8 {
-		t.Errorf("Truncate(8) length %d", len(n.Data))
+	if n.Size() != 8 {
+		t.Errorf("Truncate(8) size %d, want 8", n.Size())
+	}
+	// Reading back through the descriptor sees the old bytes and then
+	// zeros, not the "456789" the shrink dropped.
+	buf := make([]byte, 16)
+	got, err := of.Read(buf)
+	if err != nil || string(buf[:got]) != "0123\x00\x00\x00\x00" {
+		t.Errorf("read after Truncate(8): %d %v %q", got, err, buf[:got])
+	}
+}
+
+// TestSparseGrowth: growing a file to the 0x7FFFFFFF boundary the test
+// suites pass to ftruncate costs no memory, yet Size, reads, SeekEnd and
+// appends all see the full logical length.
+func TestSparseGrowth(t *testing.T) {
+	const big = 0x7FFFFFFF
+	f := newFS()
+	n, _ := f.Create("/x", 0o6, false)
+	n.SetData([]byte("head"))
+	of, _ := f.Open("/x", true, true)
+	if err := of.Truncate(big); err != nil {
+		t.Fatal(err)
+	}
+	if n.Size() != big {
+		t.Fatalf("Size = %d, want %d", n.Size(), big)
+	}
+	if len(n.data) != 4 || n.zeros != big-4 {
+		t.Fatalf("growth materialized: %d bytes + %d zeros", len(n.data), n.zeros)
+	}
+	if !strings.Contains(f.String(), "x (2147483647 bytes)") {
+		t.Errorf("String does not report the logical size:\n%s", f.String())
+	}
+
+	// A read straddling EOF returns the zero tail up to the end.
+	if _, err := of.Seek(big-3, SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("????????")
+	got, err := of.Read(buf)
+	if err != nil || got != 3 || string(buf) != "\x00\x00\x00?????" {
+		t.Errorf("read at end: %d %v %q", got, err, buf)
+	}
+	if got, err := of.Read(buf); got != 0 || err != nil {
+		t.Errorf("read at EOF: %d %v", got, err)
+	}
+	if pos, err := of.Seek(0, SeekEnd); err != nil || pos != big {
+		t.Errorf("SeekEnd = %d %v, want %d", pos, err, big)
+	}
+
+	// An append is positioned after the zero tail.  The write is failed
+	// by an fs.write fault, which strikes after the append seek but
+	// before any growth, so the test need not materialize 2 GiB.
+	plan := &chaos.Plan{Seed: 1, Rules: []chaos.Rule{{Op: chaos.OpFSWrite, RatePerMille: 1000}}}
+	f.SetInjector(plan.NewInjector(nil))
+	if _, err := of.Seek(0, SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	of.Append = true
+	if _, err := of.Write([]byte("!")); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("faulted append: %v", err)
+	}
+	if of.Pos() != big || n.Size() != big || len(n.data) != 4 {
+		t.Errorf("append: pos %d size %d, %d bytes materialized", of.Pos(), n.Size(), len(n.data))
+	}
+}
+
+// TestZeroTailWriteSkipsDiskFault: writing inside a truncate-grown zero
+// tail rewrites existing file space, so it consumes no fs.disk decision;
+// a write past Size grows the file and consumes one.  The decision
+// stream is the same as when growth materialized the tail.
+func TestZeroTailWriteSkipsDiskFault(t *testing.T) {
+	// fs.disk hit 0 is the Create; every later hit fires.
+	plan := &chaos.Plan{Seed: 1, Rules: []chaos.Rule{
+		{Op: chaos.OpFSDisk, RatePerMille: 1000, After: 1},
+	}}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f := newFS()
+	f.SetInjector(plan.NewInjector(nil))
+	n, err := f.Create("/x", 0o6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of, _ := f.Open("/x", true, true)
+	if err := of.Truncate(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := of.Seek(1000, SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := of.Write([]byte("inside")); err != nil {
+		t.Fatalf("write into the zero tail consumed a disk decision: %v", err)
+	}
+	if int64(len(n.data)) != 1006 || n.Size() != 1<<20 {
+		t.Errorf("tail write: %d bytes materialized, size %d", len(n.data), n.Size())
+	}
+	if _, err := of.Seek(0, SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := of.Write([]byte("past")); !errors.Is(err, ErrNoSpace) {
+		t.Errorf("write past Size: %v, want ErrNoSpace", err)
+	}
+	if n.Size() != 1<<20 {
+		t.Errorf("failed growth changed the size to %d", n.Size())
+	}
+}
+
+// TestCreateTruncClearsZeroTail: truncating re-creation empties a file,
+// zero tail included.
+func TestCreateTruncClearsZeroTail(t *testing.T) {
+	f := newFS()
+	n, _ := f.Create("/x", 0o6, false)
+	n.SetData([]byte("data"))
+	of, _ := f.Open("/x", true, true)
+	_ = of.Truncate(1 << 30)
+	if _, err := f.Create("/x", 0o6, true); err != nil {
+		t.Fatal(err)
+	}
+	if n.Size() != 0 {
+		t.Errorf("Create(trunc) left size %d", n.Size())
+	}
+}
+
+// TestNodeContentAccessors pins the read accessors over a node with a
+// zero tail.
+func TestNodeContentAccessors(t *testing.T) {
+	f := newFS()
+	n, _ := f.Create("/x", 0o6, false)
+	n.SetData([]byte("ab"))
+	of, _ := f.Open("/x", true, true)
+	_ = of.Truncate(4)
+	for _, tt := range []struct {
+		s    string
+		want bool
+	}{
+		{"ab\x00\x00", true},
+		{"ab", false},
+		{"ab\x00", false},
+		{"ab\x00\x00\x00", false},
+		{"ab\x00x", false},
+		{"xb\x00\x00", false},
+	} {
+		if got := n.HasContent(tt.s); got != tt.want {
+			t.Errorf("HasContent(%q) = %v, want %v", tt.s, got, tt.want)
+		}
+	}
+	if string(n.Bytes()) != "ab\x00\x00" {
+		t.Errorf("Bytes = %q", n.Bytes())
+	}
+	m, _ := f.Create("/y", 0o6, false)
+	m.CopyData(n)
+	if m.Size() != 4 || len(m.data) != 2 || !m.HasContent("ab\x00\x00") {
+		t.Errorf("CopyData: size %d, %d bytes materialized", m.Size(), len(m.data))
+	}
+	p := []byte("????")
+	if got := n.ReadAt(p, 1); got != 3 || string(p) != "b\x00\x00?" {
+		t.Errorf("ReadAt(1) = %d %q", got, p)
 	}
 }
 
@@ -270,7 +430,7 @@ func TestDeleteOnClose(t *testing.T) {
 	}
 }
 
-// TestSplitNormalizationProperty: Split is idempotent under re-joining.
+// TestSplitNormalizationProperty: split is idempotent under re-joining.
 func TestSplitNormalizationProperty(t *testing.T) {
 	prop := func(parts []string) bool {
 		path := "/"
@@ -285,11 +445,11 @@ func TestSplitNormalizationProperty(t *testing.T) {
 			}
 			path += p + "/"
 		}
-		a, err := Split(path)
+		a, err := split(nil, path)
 		if err != nil {
 			return false
 		}
-		b, err := Split("/" + joinSlash(a))
+		b, err := split(nil, "/"+joinSlash(a))
 		if err != nil {
 			return false
 		}

@@ -17,7 +17,7 @@ func TestRemoveUnlinksGivenPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.Data = []byte("x")
+	orig.SetData([]byte("x"))
 	if err := f.Link("/orig.txt", "/a/alias.txt"); err != nil {
 		t.Fatal(err)
 	}

@@ -92,10 +92,10 @@ func (o *OpenFile) Read(p []byte) (int, error) {
 	if o.blockedBy(uint64(o.pos), uint64(len(p)), false) {
 		return 0, ErrLocked
 	}
-	if o.pos >= int64(len(o.node.Data)) {
+	if o.pos >= o.node.Size() {
 		return 0, nil // EOF: zero bytes, no error (Win32/POSIX style)
 	}
-	n := copy(p, o.node.Data[o.pos:])
+	n := o.node.ReadAt(p, o.pos)
 	o.pos += int64(n)
 	o.node.AccessTime = o.fs.clock()
 	return n, nil
@@ -110,7 +110,7 @@ func (o *OpenFile) Write(p []byte) (int, error) {
 		return 0, ErrNotOpen
 	}
 	if o.Append {
-		o.pos = int64(len(o.node.Data))
+		o.pos = o.node.Size()
 	}
 	if o.blockedBy(uint64(o.pos), uint64(len(p)), true) {
 		return 0, ErrLocked
@@ -132,17 +132,16 @@ func (o *OpenFile) Write(p []byte) (int, error) {
 		}
 	}
 	end := o.pos + int64(len(p))
-	if end > int64(len(o.node.Data)) {
+	if end > o.node.Size() {
 		// Growing the file draws on the volume-wide fs.disk budget (the
-		// same site as entry creation); rewrites in place are free.
+		// same site as entry creation); rewrites in place, the zero tail
+		// included, are free.
 		if _, ok := o.fs.fault(chaos.OpFSDisk, "disk"); ok {
 			return 0, ErrNoSpace
 		}
-		grown := make([]byte, end)
-		copy(grown, o.node.Data)
-		o.node.Data = grown
 	}
-	copy(o.node.Data[o.pos:], p)
+	o.node.grow(end)
+	copy(o.node.data[o.pos:], p)
 	// The log records the bytes that actually landed, so a torn write's
 	// shortened slice is what crash-state enumeration sees.
 	o.fs.logWrite(o.node, end-int64(len(p)), p)
@@ -171,7 +170,7 @@ func (o *OpenFile) Seek(off int64, whence int) (int64, error) {
 	case SeekCur:
 		base = o.pos
 	case SeekEnd:
-		base = int64(len(o.node.Data))
+		base = o.node.Size()
 	default:
 		return 0, ErrInvalidPath
 	}
@@ -195,13 +194,12 @@ func (o *OpenFile) Truncate(n int64) error {
 	if n < 0 {
 		n = o.pos
 	}
-	switch {
-	case n <= int64(len(o.node.Data)):
-		o.node.Data = o.node.Data[:n]
-	default:
-		grown := make([]byte, n)
-		copy(grown, o.node.Data)
-		o.node.Data = grown
+	// Growth only lengthens the zero tail; nothing is materialized.
+	if nd := o.node; n <= int64(len(nd.data)) {
+		nd.data = nd.data[:n]
+		nd.zeros = 0
+	} else {
+		nd.zeros = n - int64(len(nd.data))
 	}
 	o.fs.logTruncate(o.node, n)
 	o.node.WriteTime = o.fs.clock()

@@ -16,6 +16,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -396,10 +397,6 @@ func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
 	if addr+Addr(size-1) < addr {
 		return &Fault{Addr: addr, Write: write, Kind: FaultUnmapped}
 	}
-	need := ProtRead
-	if write {
-		need = ProtWrite
-	}
 	first := pageNum(addr)
 	last := pageNum(addr + Addr(size-1))
 	for pn := first; pn <= last; pn++ {
@@ -407,18 +404,31 @@ func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
 		if pa < addr {
 			pa = addr
 		}
-		if RegionOf(pa) == RegionKernel {
-			return &Fault{Addr: pa, Write: write, Kind: FaultKernelRange}
-		}
-		pg, ok := as.pages[pn]
-		if !ok {
-			return &Fault{Addr: pa, Write: write, Kind: FaultUnmapped}
-		}
-		if pg.prot&need != need {
-			return &Fault{Addr: pa, Write: write, Kind: FaultProtection}
+		if _, f := as.probe(pa, write); f != nil {
+			return f
 		}
 	}
 	return nil
+}
+
+// probe returns the page holding a if a user-mode access of the given
+// direction may touch it, or the fault that access raises at a.
+func (as *AddressSpace) probe(a Addr, write bool) (*page, *Fault) {
+	if RegionOf(a) == RegionKernel {
+		return nil, &Fault{Addr: a, Write: write, Kind: FaultKernelRange}
+	}
+	pg, ok := as.pages[pageNum(a)]
+	if !ok {
+		return nil, &Fault{Addr: a, Write: write, Kind: FaultUnmapped}
+	}
+	need := ProtRead
+	if write {
+		need = ProtWrite
+	}
+	if pg.prot&need != need {
+		return nil, &Fault{Addr: a, Write: write, Kind: FaultProtection}
+	}
+	return pg, nil
 }
 
 func (pg *page) ensure() []byte {
@@ -428,25 +438,52 @@ func (pg *page) ensure() []byte {
 	return pg.data
 }
 
+// zeroPage stands in for the contents of a mapped page that was never
+// written, so scans need not allocate it.  It is never written.
+var zeroPage [PageSize]byte
+
 // Read copies size bytes starting at addr.  On fault, it returns the fault
 // and no data.
 func (as *AddressSpace) Read(addr Addr, size uint32) ([]byte, *Fault) {
 	if f := as.check(addr, size, false); f != nil {
-		if as.stats != nil {
-			as.stats.Faults++
-		}
+		as.countFault()
 		return nil, f
 	}
 	out := make([]byte, size)
+	as.copyOut(out, addr)
+	return out, nil
+}
+
+// readInto fills dst from memory at addr, with Read's fault semantics.
+func (as *AddressSpace) readInto(dst []byte, addr Addr) *Fault {
+	if f := as.check(addr, uint32(len(dst)), false); f != nil {
+		as.countFault()
+		return f
+	}
+	as.copyOut(dst, addr)
+	return nil
+}
+
+// copyOut copies already-checked memory at addr into dst.  A page that
+// was never written reads as zeros, which dst must already hold.
+func (as *AddressSpace) copyOut(dst []byte, addr Addr) {
 	var done uint32
-	for done < size {
+	for done < uint32(len(dst)) {
 		a := addr + Addr(done)
 		pg := as.pages[pageNum(a)]
 		off := pageOff(a)
-		n := uint32(copy(out[done:], pg.ensure()[off:]))
+		n := min(uint32(len(dst))-done, PageSize-off)
+		if pg.data != nil {
+			copy(dst[done:done+n], pg.data[off:])
+		}
 		done += n
 	}
-	return out, nil
+}
+
+func (as *AddressSpace) countFault() {
+	if as.stats != nil {
+		as.stats.Faults++
+	}
 }
 
 // Write copies data into memory starting at addr.
@@ -455,9 +492,7 @@ func (as *AddressSpace) Write(addr Addr, data []byte) *Fault {
 		return nil
 	}
 	if f := as.check(addr, uint32(len(data)), true); f != nil {
-		if as.stats != nil {
-			as.stats.Faults++
-		}
+		as.countFault()
 		return f
 	}
 	var done uint32
@@ -473,8 +508,8 @@ func (as *AddressSpace) Write(addr Addr, data []byte) *Fault {
 
 // ReadU8 reads one byte.
 func (as *AddressSpace) ReadU8(addr Addr) (byte, *Fault) {
-	b, f := as.Read(addr, 1)
-	if f != nil {
+	var b [1]byte
+	if f := as.readInto(b[:], addr); f != nil {
 		return 0, f
 	}
 	return b[0], nil
@@ -487,8 +522,8 @@ func (as *AddressSpace) WriteU8(addr Addr, v byte) *Fault {
 
 // ReadU16 reads a little-endian 16-bit value.
 func (as *AddressSpace) ReadU16(addr Addr) (uint16, *Fault) {
-	b, f := as.Read(addr, 2)
-	if f != nil {
+	var b [2]byte
+	if f := as.readInto(b[:], addr); f != nil {
 		return 0, f
 	}
 	return uint16(b[0]) | uint16(b[1])<<8, nil
@@ -501,8 +536,8 @@ func (as *AddressSpace) WriteU16(addr Addr, v uint16) *Fault {
 
 // ReadU32 reads a little-endian 32-bit value.
 func (as *AddressSpace) ReadU32(addr Addr) (uint32, *Fault) {
-	b, f := as.Read(addr, 4)
-	if f != nil {
+	var b [4]byte
+	if f := as.readInto(b[:], addr); f != nil {
 		return 0, f
 	}
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
@@ -539,36 +574,85 @@ func (as *AddressSpace) WriteU64(addr Addr, v uint64) *Fault {
 const CStringLimit = 1 << 20
 
 // CString reads a NUL-terminated byte string starting at addr.  Reading
-// runs until a NUL, a fault, or CStringLimit bytes.
+// runs until a NUL, a fault, or CStringLimit bytes.  It scans a page at a
+// time; a fault is reported at the first unreadable byte, exactly as a
+// byte-by-byte read would raise it.
 func (as *AddressSpace) CString(addr Addr) (string, *Fault) {
 	var buf []byte
-	for i := uint32(0); i < CStringLimit; i++ {
-		b, f := as.ReadU8(addr + Addr(i))
+	a := addr
+	for left := uint32(CStringLimit); left > 0; {
+		b, f := as.span(a, left)
 		if f != nil {
 			return "", f
 		}
-		if b == 0 {
-			return string(buf), nil
+		if i := bytes.IndexByte(b, 0); i >= 0 {
+			if buf == nil {
+				return string(b[:i]), nil
+			}
+			return string(append(buf, b[:i]...)), nil
 		}
-		buf = append(buf, b)
+		buf = append(buf, b...)
+		a += Addr(len(b))
+		left -= uint32(len(b))
 	}
 	return string(buf), nil
 }
 
+// span returns the readable bytes from a to the end of its page, at
+// most limit of them, or the fault a one-byte read at a raises.
+func (as *AddressSpace) span(a Addr, limit uint32) ([]byte, *Fault) {
+	pg, f := as.probe(a, false)
+	if f != nil {
+		as.countFault()
+		return nil, f
+	}
+	b := pg.data
+	if b == nil {
+		b = zeroPage[:]
+	}
+	b = b[pageOff(a):]
+	if uint32(len(b)) > limit {
+		b = b[:limit]
+	}
+	return b, nil
+}
+
 // WString reads a NUL-terminated little-endian UTF-16 string (as used by
 // the UNICODE Win32/CE surface) starting at addr, returning its UTF-16
-// code units.
+// code units.  Like CString it scans a page at a time; a unit that
+// straddles two pages (an odd address at a page's last byte) is read on
+// its own so its fault, if any, is the one a ReadU16 raises.
 func (as *AddressSpace) WString(addr Addr) ([]uint16, *Fault) {
 	var buf []uint16
-	for i := uint32(0); i < CStringLimit; i++ {
-		u, f := as.ReadU16(addr + Addr(2*i))
+	a := addr
+	for left := uint32(CStringLimit); left > 0; {
+		if pageOff(a) == PageSize-1 {
+			u, f := as.ReadU16(a)
+			if f != nil {
+				return nil, f
+			}
+			if u == 0 {
+				return buf, nil
+			}
+			buf = append(buf, u)
+			a += 2
+			left--
+			continue
+		}
+		b, f := as.span(a, 2*left)
 		if f != nil {
 			return nil, f
 		}
-		if u == 0 {
-			return buf, nil
+		for i := 0; i+1 < len(b); i += 2 {
+			u := uint16(b[i]) | uint16(b[i+1])<<8
+			if u == 0 {
+				return buf, nil
+			}
+			buf = append(buf, u)
 		}
-		buf = append(buf, u)
+		units := uint32(len(b) / 2)
+		a += Addr(2 * units)
+		left -= units
 	}
 	return buf, nil
 }

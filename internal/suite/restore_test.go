@@ -36,12 +36,50 @@ func TestRestoreFileShape(t *testing.T) {
 		t.Fatalf("fixture unreadable after restore: %v", err)
 	}
 	n, err := k.FS.Stat(FixtureReadable)
-	if err != nil || n.IsDir() || string(n.Data) != FixtureContent {
+	if err != nil || n.IsDir() || string(n.Bytes()) != FixtureContent {
 		t.Errorf("fixture not restored: err=%v dir=%v", err, n != nil && n.IsDir())
 	}
 	// The displaced subdir tree is back too.
 	if _, err := k.FS.Stat(FixtureSubdir + "/a.txt"); err != nil {
 		t.Errorf("fixture subdir not restored: %v", err)
+	}
+}
+
+// TestRestoreTruncateGrownFixture: ftruncate grows a fixture file
+// sparsely, keeping its original bytes ahead of a zero tail.  The next
+// SetupFixtures must see the changed size and restore the file, or the
+// grown fixture would leak into the next case.
+func TestRestoreTruncateGrownFixture(t *testing.T) {
+	k := fixtureKernel(t)
+	of, err := k.FS.Open(FixtureWritable, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := of.Truncate(0x7FFFFFFF); err != nil {
+		t.Fatal(err)
+	}
+	_ = of.Close()
+
+	SetupFixtures(k)
+
+	n, err := k.FS.Stat(FixtureWritable)
+	if err != nil || n.Size() != int64(len(FixtureContent)) || string(n.Bytes()) != FixtureContent {
+		t.Errorf("grown fixture not restored: err=%v size=%d", err, n.Size())
+	}
+}
+
+// TestFixtureStatDoesNotAllocate: looking up a fixture path, in either
+// path style, walks the tree without allocating.
+func TestFixtureStatDoesNotAllocate(t *testing.T) {
+	k := fixtureKernel(t)
+	for _, p := range []string{
+		FixtureDir, FixtureReadable, FixtureWritable, FixtureReadOnly, FixtureSubdir,
+		FixtureSubdir + "/a.txt", FixtureExec, ScratchDir, TempDir,
+		`C:\bl\dir\b.txt`, "/bl/./dir/../missing",
+	} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = k.FS.Stat(p) }); n != 0 {
+			t.Errorf("Stat(%q): %v allocations per call, want 0", p, n)
+		}
 	}
 }
 
@@ -142,7 +180,7 @@ func TestRestoreIsIdempotent(t *testing.T) {
 					out[p] = "dir"
 					walk(p + "/")
 				} else {
-					out[p] = string(n.Data)
+					out[p] = string(n.Bytes())
 				}
 			}
 		}

@@ -91,8 +91,10 @@ func SetupFixtures(k *kern.Kernel) {
 			}
 		}
 		n.Attrs &^= fs.AttrReadOnly
-		if string(n.Data) != content {
-			n.Data = []byte(content)
+		// HasContent compares the logical size too: a fixture grown by
+		// ftruncate keeps its original bytes ahead of the zero tail.
+		if !n.HasContent(content) {
+			n.SetData([]byte(content))
 		}
 		n.Mode = mode
 		n.Attrs = attrs

@@ -65,7 +65,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailWin(winFSError(err))
 			return
 		}
-		dstN.Data = append([]byte(nil), srcN.Data...)
+		dstN.CopyData(srcN)
 		c.Ret(winTrue)
 	}
 	m["MoveFile"] = func(c *api.Call) { moveFile(c, false) }

@@ -118,7 +118,7 @@ func TestCopyMoveFile(t *testing.T) {
 		t.Error("MoveFile left the source behind")
 	}
 	got, err := k.FS.Stat("/bl/moved.txt")
-	if err != nil || len(got.Data) == 0 {
+	if err != nil || len(got.Bytes()) == 0 {
 		t.Error("MoveFile target missing or empty")
 	}
 }
@@ -309,5 +309,28 @@ func TestSetEndOfFile(t *testing.T) {
 	}
 	if of.Node().Size() != 5 {
 		t.Errorf("size after SetEndOfFile = %d", of.Node().Size())
+	}
+}
+
+// TestCopyFileKeepsSparseSize: copying a file grown by SetEndOfFile
+// keeps its logical size and contents without materializing the zeros.
+func TestCopyFileKeepsSparseSize(t *testing.T) {
+	k, p := newProc(t, osprofile.WinNT)
+	of, _ := k.FS.Open("/bl/readable.txt", true, true)
+	if err := of.Truncate(0x7FFFFFFF); err != nil {
+		t.Fatal(err)
+	}
+	src := cstr(t, p, "/bl/readable.txt")
+	dst := cstr(t, p, "/bl/copy.txt")
+	if c := run(t, osprofile.WinNT, k, p, "CopyFile", api.Ptr(src), api.Ptr(dst), api.Int(1)); c.Out.Ret != 1 {
+		t.Fatalf("CopyFile: %+v", c.Out)
+	}
+	got, err := k.FS.Stat("/bl/copy.txt")
+	if err != nil || got.Size() != 0x7FFFFFFF {
+		t.Fatalf("copy: %v size %d", err, got.Size())
+	}
+	head := make([]byte, 20)
+	if got.ReadAt(head, 0) != 20 || string(head) != "win32 fixture data\x00\x00" {
+		t.Errorf("copy contents start %q", head)
 	}
 }
