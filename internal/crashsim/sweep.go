@@ -3,10 +3,12 @@ package crashsim
 import (
 	"context"
 	"fmt"
-	"sync"
+	"hash/fnv"
+	"strings"
 
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 	"ballista/internal/telemetry/span"
 )
 
@@ -77,6 +79,19 @@ func evalOne(w Workload, names []string, oses []osprofile.OS) *wlResult {
 	return r
 }
 
+// sweepID fingerprints the sweep identity so a journal from a different
+// configuration cannot silently poison a resume.
+func sweepID(cfg Config, names []string, oses []osprofile.OS, workloads int) string {
+	h := fnv.New64a()
+	var wire []string
+	for _, o := range oses {
+		wire = append(wire, o.WireName())
+	}
+	fmt.Fprintf(h, "%d|%d|%d|%s|%s|%d",
+		cfg.Seed, cfg.MaxOps, cfg.Budget, strings.Join(names, ","), strings.Join(wire, ","), workloads)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // Sweep enumerates the bounded workload set and evaluates every chain
 // across the OS set: per-profile crash-state enumeration, invariant
 // checks, differential comparison.  Findings are deduplicated by
@@ -101,65 +116,49 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	workloads := Enumerate(names, maxOps, cfg.Seed, cfg.Budget)
 
-	var journal *ckptJournal
-	done := make(map[int]*wlResult)
+	results := make([]*wlResult, len(workloads))
+	var journal *sweep.Checkpoint[wlResult]
 	if cfg.Checkpoint != "" {
 		var err error
-		journal, done, err = openJournal(cfg.Checkpoint, cfg, names, oses, len(workloads))
+		journal, results, err = sweep.OpenCheckpoint[wlResult](cfg.Checkpoint, "crashsweep",
+			sweepID(cfg, names, oses, len(workloads)), len(workloads))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("crashsim: %w", err)
 		}
 		defer journal.Close()
 	}
-
 	parent := cfg.Spans.Start("crashsweep",
 		fmt.Sprintf("seed=%d max_ops=%d oses=%d workloads=%d", cfg.Seed, maxOps, len(oses), len(workloads)))
 	defer parent.End()
 
-	results := make([]*wlResult, len(workloads))
 	var todo []int
-	for i := range workloads {
-		if r, ok := done[i]; ok {
-			results[i] = r
-		} else {
+	for i, r := range results {
+		if r == nil {
 			todo = append(todo, i)
 		}
 	}
 
-	jobs := make(chan int)
-	var mu sync.Mutex // guards results writes and journal appends
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ws := cfg.Spans.StartSampled("crashwl", workloads[i].Key()).SetParent(parent.ID())
-				r := evalOne(workloads[i], names, oses)
-				ws.End()
-				mu.Lock()
-				results[i] = r
-				if journal != nil {
-					journal.append(i, r)
-				}
-				mu.Unlock()
+	eval := func(_ context.Context, i int, _ bool) error {
+		ws := cfg.Spans.StartSampled("crashwl", workloads[i].Key()).SetParent(parent.ID())
+		r := evalOne(workloads[i], names, oses)
+		ws.End()
+		results[i] = r
+		if journal != nil {
+			if err := journal.Append(i, r); err != nil {
+				return fmt.Errorf("crashsim: checkpointing workload %d: %w", i, err)
 			}
-		}()
-	}
-	var cancelled error
-feed:
-	for _, i := range todo {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
 		}
+		return nil
 	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
-		return nil, cancelled
+	pool := sweep.Pool{
+		Workers: workers,
+		Worker:  func(int) sweep.EvalFunc { return eval },
+		GiveUp: func(f sweep.Fault) error {
+			return fmt.Errorf("crashsim: workload %s: %w", workloads[f.Unit].Key(), f)
+		},
+	}
+	if _, err := pool.Run(ctx, todo); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -121,3 +121,48 @@ func TestSweepChecksJournalIdentity(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// parentJournal pins the crashsim checkpoint format: a journal byte for
+// byte as earlier versions wrote it (header, two records, a torn tail)
+// for Config{Seed: 7, Budget: 12}.
+const parentJournal = `{"v":1,"kind":"crashsweep","id":"f27c3dca031c7405"}
+{"i":2,"r":{"cp":1,"st":20,"vi":0}}
+{"i":3,"r":{"cp":1,"st":7,"vi":0}}
+{"i":4,"r":{"cp":1,"st`
+
+// TestSweepResumesParentJournalFormat: the pinned journal replays
+// workloads 2 and 3 (which the resume then does not journal again),
+// skips the torn tail without gluing the next record onto it, and the
+// resumed report equals a fresh one.
+func TestSweepResumesParentJournalFormat(t *testing.T) {
+	cfg := Config{Seed: 7, Budget: 12, Workers: 2}
+	ref, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "crash.ckpt")
+	if err := os.WriteFile(cfg.Checkpoint, []byte(parentJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reportJSON(t, ref), reportJSON(t, resumed)) {
+		t.Error("report resumed from the old journal differs from a fresh run")
+	}
+	data, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{`{"i":2,`, `{"i":3,`} {
+		if n := strings.Count(string(data), rec); n != 1 {
+			t.Errorf("journal holds %d %s records, want 1: the replayed workload re-ran", n, rec)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2+ref.Workloads || lines[3] != `{"i":4,"r":{"cp":1,"st` {
+		t.Errorf("journal holds %d lines, want header + %d records + the torn tail on its own line", len(lines), ref.Workloads)
+	}
+}

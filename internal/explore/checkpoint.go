@@ -1,23 +1,15 @@
 package explore
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"time"
 
-	"ballista/internal/chaos"
+	"ballista/internal/sweep"
 )
 
 // ckptVersion is the corpus-journal schema version.
 const ckptVersion = 1
-
-// maxCkptLine bounds one journal line; anything longer is hostile or
-// corrupt and truncates the resume there.
-const maxCkptLine = 1 << 20
 
 // ckptMeta is the journal's first line: the campaign identity.  Resume
 // refuses a journal whose identity differs from the live configuration,
@@ -62,35 +54,22 @@ type ckptChain struct {
 // reproduces what the lost tail would have held.  Only an identity
 // mismatch is an error.
 func loadCheckpoint(path string, want ckptMeta) ([]ckptChain, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
+	lines, err := sweep.ReadLines(path)
+	if err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
+	}
+	if len(lines) == 0 {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("explore: opening checkpoint: %w", err)
+	var meta ckptMeta
+	if err := json.Unmarshal(lines[0], &meta); err != nil || meta.Type != "meta" {
+		return nil, fmt.Errorf("explore: checkpoint %s has no meta line", path)
 	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), maxCkptLine)
+	if !reflect.DeepEqual(meta, want) {
+		return nil, fmt.Errorf("explore: checkpoint %s belongs to a different campaign (seed/OS set/alphabet changed); delete it or pass a fresh path", path)
+	}
 	var recs []ckptChain
-	sawMeta := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if !sawMeta {
-			var meta ckptMeta
-			if err := json.Unmarshal(line, &meta); err != nil || meta.Type != "meta" {
-				return nil, fmt.Errorf("explore: checkpoint %s has no meta line", path)
-			}
-			if !reflect.DeepEqual(meta, want) {
-				return nil, fmt.Errorf("explore: checkpoint %s belongs to a different campaign (seed/OS set/alphabet changed); delete it or pass a fresh path", path)
-			}
-			sawMeta = true
-			continue
-		}
+	for _, line := range lines[1:] {
 		var rec ckptChain
 		if err := json.Unmarshal(line, &rec); err != nil {
 			// A torn write; the writer newline-terminates these, so the
@@ -113,129 +92,5 @@ func loadCheckpoint(path string, want ckptMeta) ([]ckptChain, error) {
 		}
 		recs = append(recs, rec)
 	}
-	if err := sc.Err(); err != nil && len(recs) == 0 && !sawMeta {
-		return nil, fmt.Errorf("explore: reading checkpoint: %w", err)
-	}
 	return recs, nil
 }
-
-// ckptWriter appends candidate records to the journal.  Records are
-// fsynced per append and torn writes are newline-terminated, so a crash
-// at any instant leaves at worst one skippable bad line — exactly what
-// loadCheckpoint tolerates.
-type ckptWriter struct {
-	f     *os.File
-	inj   *chaos.Injector // harness-domain fault session; nil when chaos is off
-	stats *chaos.Stats
-}
-
-// Append retry schedule, mirroring the farm journal's.
-const (
-	ckptAttempts    = 6
-	ckptBackoffBase = time.Millisecond
-	ckptBackoffMax  = 20 * time.Millisecond
-)
-
-// writeFileAtomic writes data as path via a same-directory temp file,
-// fsync and rename, so a crash mid-write can never leave a half-written
-// file at path.  The directory fsync is best-effort (some filesystems
-// refuse it); the rename itself is the atomicity guarantee.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// openCkpt opens the journal for appending; a fresh journal gets its
-// meta line written atomically first, so no crash window exists in which
-// the file holds a torn identity line.
-func openCkpt(path string, meta ckptMeta) (*ckptWriter, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("explore: creating checkpoint dir: %w", err)
-		}
-	}
-	if st, err := os.Stat(path); os.IsNotExist(err) || (err == nil && st.Size() == 0) {
-		line, err := json.Marshal(meta)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeFileAtomic(path, append(line, '\n')); err != nil {
-			return nil, fmt.Errorf("explore: writing checkpoint meta: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("explore: opening checkpoint: %w", err)
-	}
-	return &ckptWriter{f: f}, nil
-}
-
-func (w *ckptWriter) append(rec ckptChain) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	var last error
-	for attempt := 0; attempt < ckptAttempts; attempt++ {
-		if attempt > 0 {
-			w.stats.AddRetried()
-			d := ckptBackoffBase << (attempt - 1)
-			if d > ckptBackoffMax {
-				d = ckptBackoffMax
-			}
-			time.Sleep(d)
-		}
-		if err := w.writeLine(line); err != nil {
-			last = err
-			continue
-		}
-		return nil
-	}
-	return last
-}
-
-// writeLine is one append attempt: injected faults first (chaos harness
-// domain, site "explore"), then the real write, then fsync.
-func (w *ckptWriter) writeLine(line []byte) error {
-	if flt, ok := w.inj.Fault(chaos.OpCkptWrite, "explore"); ok {
-		if flt.Kind == chaos.KindShort {
-			torn := append([]byte(nil), line[:len(line)/2]...)
-			w.f.Write(append(torn, '\n'))
-		}
-		return chaos.ErrInjected
-	}
-	n, err := w.f.Write(line)
-	if err != nil {
-		if n > 0 && line[n-1] != '\n' {
-			w.f.Write([]byte{'\n'})
-		}
-		return err
-	}
-	return w.f.Sync()
-}
-
-func (w *ckptWriter) Close() error { return w.f.Close() }

@@ -3,85 +3,8 @@ package farm
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-
-	"ballista/internal/core"
 )
-
-func TestDequeFIFOOrder(t *testing.T) {
-	d := &deque{}
-	d.push(1, 2, 3, 4, 5)
-	var got []int
-	for {
-		idx, ok := d.popFront()
-		if !ok {
-			break
-		}
-		got = append(got, idx)
-	}
-	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("popFront order %v, want %v", got, want)
-	}
-	if _, ok := d.popFront(); ok {
-		t.Error("popFront on empty deque reported ok")
-	}
-}
-
-func TestDequeStealHalf(t *testing.T) {
-	d := &deque{}
-	d.push(10, 11, 12, 13, 14)
-	loot := d.stealHalf()
-	if want := []int{12, 13, 14}; !reflect.DeepEqual(loot, want) {
-		t.Fatalf("stealHalf = %v, want back half %v (rounded up)", loot, want)
-	}
-	if d.size() != 2 {
-		t.Fatalf("victim kept %d items, want 2", d.size())
-	}
-	// The owner still walks its remaining front portion in order.
-	if idx, _ := d.popFront(); idx != 10 {
-		t.Errorf("owner's next = %d, want 10", idx)
-	}
-}
-
-func TestDequeStealSingle(t *testing.T) {
-	d := &deque{}
-	d.push(7)
-	if loot := d.stealHalf(); !reflect.DeepEqual(loot, []int{7}) {
-		t.Fatalf("stealHalf of 1 item = %v, want [7]", loot)
-	}
-	if loot := d.stealHalf(); loot != nil {
-		t.Fatalf("stealHalf of empty = %v, want nil", loot)
-	}
-}
-
-func TestClassRoundTrip(t *testing.T) {
-	in := []core.RawClass{
-		core.RawClean, core.RawError, core.RawAbort,
-		core.RawRestart, core.RawCatastrophic, core.RawSkip,
-	}
-	enc := encodeClasses(in)
-	if enc != "012345" {
-		t.Fatalf("encodeClasses = %q", enc)
-	}
-	out, err := decodeClasses(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip %v -> %v", in, out)
-	}
-	if _, err := decodeClasses("0162"); err == nil {
-		t.Error("decodeClasses accepted out-of-range digit")
-	}
-}
-
-func TestFlagsRoundTrip(t *testing.T) {
-	in := []bool{true, false, false, true}
-	if got := decodeFlags(encodeFlags(in)); !reflect.DeepEqual(in, got) {
-		t.Fatalf("round trip %v -> %v", in, got)
-	}
-}
 
 // journalFixtureShards builds a tiny fake shard list for loader tests.
 func journalFixtureShards() []ShardDesc {
@@ -179,5 +102,38 @@ func TestJournalRejectsMismatchedCampaign(t *testing.T) {
 				t.Errorf("%s mismatch accepted", name)
 			}
 		})
+	}
+}
+
+// TestJournalStolenRecordFormat pins the farm record format: a stolen
+// shard's line, byte for byte, is what Append writes and what
+// LoadJournal replays.
+func TestJournalStolenRecordFormat(t *testing.T) {
+	const line = `{"v":1,"os":"winnt","cap":100,"shard":2,"mut":"beta","wide":true,` +
+		`"classes":"05","exceptional":"01","incomplete":true,"reboots":3,"worker":1,"stolen":true}` + "\n"
+	want := ShardResult{Classes: "05", Exceptional: "01", Incomplete: true, Reboots: 3}
+	descs := journalFixtureShards()
+
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	jnl, err := OpenJournal(path, "farm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append("winnt", 100, descs[2], want, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != line {
+		t.Fatalf("Append wrote %q (err %v), want %q", data, err, line)
+	}
+
+	done, err := LoadJournal(path, "winnt", 100, descs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 1 || done[2] != want {
+		t.Fatalf("replayed %+v, want shard 2 = %+v", done, want)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"ballista/internal/chaos"
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 )
 
 // Config configures a parallel campaign.  The embedded core.Config is
@@ -69,7 +70,7 @@ type Farm struct {
 }
 
 // Quarantine records one harness fault: a shard whose worker panicked.
-// The shard is re-enqueued (up to maxShardAttempts), so a quarantine is
+// The shard is re-enqueued (up to sweep.MaxAttempts), so a quarantine is
 // an incident report, not a lost result.
 type Quarantine struct {
 	Shard   int    `json:"shard"`
@@ -79,11 +80,6 @@ type Quarantine struct {
 	Attempt int    `json:"attempt"`
 	Reason  string `json:"reason"`
 }
-
-// maxShardAttempts bounds re-execution of a panicking shard; a shard
-// that faults this many times is marked Incomplete rather than retried
-// forever.
-const maxShardAttempts = 3
 
 // shard is one unit of scheduling: a wire descriptor plus its resolved
 // catalog entry.
@@ -114,15 +110,6 @@ func (f *Farm) Quarantined() []Quarantine {
 	f.qmu.Lock()
 	defer f.qmu.Unlock()
 	return append([]Quarantine(nil), f.quarantined...)
-}
-
-func (f *Farm) addQuarantine(q Quarantine) {
-	f.qmu.Lock()
-	f.quarantined = append(f.quarantined, q)
-	f.qmu.Unlock()
-	f.cfg.ChaosStats.AddQuarantined()
-	f.cfg.Spans.Instant("quarantine", q.MuT, q.Reason)
-	_, _ = f.cfg.Spans.Dump("quarantine")
 }
 
 // shards lists the campaign's schedule in the exact order a sequential
@@ -213,14 +200,8 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
-	if len(pending) > 0 {
-		if err := f.runWorkers(ctx, workers, pending, sh, results, rebootsBy, jnl, hinj); err != nil {
-			return nil, err
-		}
+	if err := f.runWorkers(ctx, workers, pending, sh, results, rebootsBy, jnl, hinj); err != nil {
+		return nil, err
 	}
 
 	out := &core.OSResult{OS: f.profile.Name}
@@ -240,140 +221,54 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	return out, nil
 }
 
-// runWorkers partitions pending shards contiguously across the pool and
-// lets workers execute (and steal) until the queues drain or ctx stops
-// the campaign.
+// runWorkers executes the pending shards across a sweep pool: each
+// worker owns a contiguous slice of the catalog, like one physical
+// machine owning one stack of test sheets, and stealing rebalances when
+// the slices prove uneven.  A shard whose execution panics (harness
+// fault, injected or real) is quarantined and re-enqueued, and its
+// worker continues on a fresh runner.
 func (f *Farm) runWorkers(ctx context.Context, workers int, pending []int,
 	sh []shard, results []*core.MuTResult, rebootsBy []int, jnl *Journal, hinj *chaos.Injector) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Per-shard harness-fault attempt counts (panic isolation).
-	attempts := make([]int32, len(sh))
-
-	// Contiguous partitions: worker w owns a consecutive slice of the
-	// catalog, like one physical machine owning one stack of test
-	// sheets.  Stealing rebalances when the slices prove uneven.
-	queues := make([]*deque, workers)
-	per := (len(pending) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, len(pending))
-		queues[w] = &deque{}
-		if lo < hi {
-			queues[w].push(pending[lo:hi]...)
-		}
-	}
-
 	shardObs, _ := f.cfg.Observer.(core.ShardObserver)
-
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = f.worker(ctx, w, queues, sh, results, rebootsBy, jnl, shardObs, hinj, attempts)
-			if errs[w] != nil {
-				cancel() // one worker down ends the campaign
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Prefer a real failure over the cancellation it propagated.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil || (first == context.Canceled && err != context.Canceled) {
-			first = err
-		}
-	}
-	if first == context.Canceled && ctx.Err() != nil {
-		first = ctx.Err()
-	}
-	return first
-}
-
-// worker drains its own queue front-to-back, then steals the back half
-// of the fullest victim queue until no work remains anywhere.  A shard
-// whose execution panics (harness fault, injected or real) is isolated:
-// the panic is recovered, the shard quarantined and re-enqueued at the
-// worker's own tail, and the campaign continues on a fresh runner.
-func (f *Farm) worker(ctx context.Context, id int, queues []*deque,
-	sh []shard, results []*core.MuTResult, rebootsBy []int, jnl *Journal,
-	shardObs core.ShardObserver, hinj *chaos.Injector, attempts []int32) error {
-	runner := core.NewRunner(f.cfg.Config, f.reg, f.dispatch, f.fixture)
-	own := queues[id]
-	stolen := false
-	for {
-		idx, ok := own.popFront()
-		if !ok {
-			victim := -1
-			best := 0
-			for v, q := range queues {
-				if v == id {
-					continue
+	pool := sweep.Pool{
+		Workers: workers,
+		Worker: func(id int) sweep.EvalFunc {
+			runner := core.NewRunner(f.cfg.Config, f.reg, f.dispatch, f.fixture)
+			return func(ctx context.Context, idx int, stolen bool) error {
+				// Injected harness fault: a worker panic just before the
+				// shard runs, recovered by the same isolation path as a
+				// real one.
+				if _, ok := hinj.Fault(chaos.OpWorkerPanic, sh[idx].m.Name); ok {
+					panic("chaos: injected worker panic")
 				}
-				if n := q.size(); n > best {
-					victim, best = v, n
-				}
+				return f.runShard(ctx, runner, id, sh[idx], stolen, results, rebootsBy, jnl, shardObs)
 			}
-			if victim < 0 {
-				return nil // every queue is dry
-			}
-			loot := queues[victim].stealHalf()
-			if len(loot) == 0 {
-				continue // lost the race; rescan
-			}
-			own.push(loot...)
-			stolen = true
-			continue
-		}
-		panicked, err := f.runShardSafe(ctx, &runner, id, sh[idx], stolen, results, rebootsBy, jnl, shardObs, hinj, attempts)
-		if err != nil {
-			return err
-		}
-		if panicked {
-			if atomic.AddInt32(&attempts[idx], 1) >= maxShardAttempts {
-				// Persistent harness fault: surface the shard as
-				// Incomplete rather than retrying forever.  Left out of
-				// the journal so a later resume re-attempts it.
-				results[idx] = &core.MuTResult{MuT: sh[idx].m, Wide: sh[idx].desc.Wide, Incomplete: true}
-				rebootsBy[idx] = 0
-				continue
-			}
-			own.push(idx)
-		}
-	}
-}
-
-// runShardSafe runs one shard with panic isolation.  A recovered panic
-// quarantines the shard and replaces the worker's runner (its machine
-// state is suspect); the shard itself is the caller's to re-enqueue.
-func (f *Farm) runShardSafe(ctx context.Context, runner **core.Runner, id int, s shard, stolen bool,
-	results []*core.MuTResult, rebootsBy []int, jnl *Journal,
-	shardObs core.ShardObserver, hinj *chaos.Injector, attempts []int32) (panicked bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			err = nil
-			f.addQuarantine(Quarantine{
-				Shard: s.desc.Index, MuT: s.m.Name, Wide: s.desc.Wide, Worker: id,
-				Attempt: int(atomic.LoadInt32(&attempts[s.desc.Index])) + 1,
-				Reason:  fmt.Sprint(r),
+		},
+		OnPanic: func(flt sweep.Fault) {
+			s := sh[flt.Unit]
+			f.qmu.Lock()
+			f.quarantined = append(f.quarantined, Quarantine{
+				Shard: s.desc.Index, MuT: s.m.Name, Wide: s.desc.Wide,
+				Worker: flt.Worker, Attempt: flt.Attempt, Reason: flt.Reason,
 			})
-			*runner = core.NewRunner(f.cfg.Config, f.reg, f.dispatch, f.fixture)
-		}
-	}()
-	// Injected harness fault: a worker panic just before the shard runs,
-	// recovered by the same isolation path as a real one.
-	if _, ok := hinj.Fault(chaos.OpWorkerPanic, s.m.Name); ok {
-		panic("chaos: injected worker panic")
+			f.qmu.Unlock()
+			f.cfg.ChaosStats.AddQuarantined()
+			f.cfg.Spans.Instant("quarantine", s.m.Name, flt.Reason)
+			_, _ = f.cfg.Spans.Dump("quarantine")
+		},
+		GiveUp: func(flt sweep.Fault) error {
+			// Persistent harness fault: surface the shard as Incomplete
+			// rather than retrying forever.  Left out of the journal so a
+			// later resume re-attempts it.
+			s := sh[flt.Unit]
+			results[flt.Unit] = &core.MuTResult{MuT: s.m, Wide: s.desc.Wide, Incomplete: true}
+			rebootsBy[flt.Unit] = 0
+			return nil
+		},
 	}
-	return false, f.runShard(ctx, *runner, id, s, stolen, results, rebootsBy, jnl, shardObs)
+	steals, err := pool.Run(ctx, pending)
+	f.steals.Store(steals)
+	return err
 }
 
 // runShard executes one shard on a freshly booted machine, records the
@@ -399,9 +294,6 @@ func (f *Farm) runShard(ctx context.Context, runner *core.Runner, id int, s shar
 		if err != nil {
 			return fmt.Errorf("farm: checkpointing shard %d: %w", s.desc.Index, err)
 		}
-	}
-	if stolen {
-		f.steals.Add(1)
 	}
 	if shardObs != nil {
 		shardObs.OnShardDone(core.ShardEvent{

@@ -55,8 +55,8 @@ type ShardResult struct {
 // of its machine epoch.
 func EncodeShardResult(res *core.MuTResult, reboots int) ShardResult {
 	return ShardResult{
-		Classes:     encodeClasses(res.Cases),
-		Exceptional: encodeFlags(res.Exceptional),
+		Classes:     core.PackClasses(res.Cases),
+		Exceptional: core.PackFlags(res.Exceptional),
 		Incomplete:  res.Incomplete,
 		Reboots:     reboots,
 	}
@@ -69,7 +69,7 @@ func (sr ShardResult) Decode(o osprofile.OS, d ShardDesc) (*core.MuTResult, erro
 	if !ok {
 		return nil, fmt.Errorf("farm: shard %d: %q is not tested on %s", d.Index, d.MuT, o)
 	}
-	classes, err := decodeClasses(sr.Classes)
+	classes, err := core.UnpackClasses(sr.Classes)
 	if err != nil {
 		return nil, fmt.Errorf("farm: shard %d: %w", d.Index, err)
 	}
@@ -81,7 +81,7 @@ func (sr ShardResult) Decode(o osprofile.OS, d ShardDesc) (*core.MuTResult, erro
 		MuT:         m,
 		Wide:        d.Wide,
 		Cases:       classes,
-		Exceptional: decodeFlags(sr.Exceptional),
+		Exceptional: core.UnpackFlags(sr.Exceptional),
 		Incomplete:  sr.Incomplete,
 	}, nil
 }

@@ -500,3 +500,78 @@ func FuzzScarceEnv(f *testing.F) {
 		}
 	})
 }
+
+// TestSweepRunnerPanicFailsSweep: a probe that panics (here, the
+// substrate for one OS) is retried on fresh worker state and, once it
+// has exhausted its attempts, fails the sweep with an error naming the
+// item — it does not take the process down.
+func TestSweepRunnerPanicFailsSweep(t *testing.T) {
+	deps := testDeps()
+	panicky := &Deps{
+		NewRunner: func(o osprofile.OS) *core.Runner {
+			if o == osprofile.WinNT {
+				panic("substrate exploded")
+			}
+			return deps.NewRunner(o)
+		},
+		MuTs:     deps.MuTs,
+		Registry: deps.Registry,
+	}
+	cfg := sweepCfg(panicky, []Env{fdFull()})
+	cfg.Workers = 2
+	_, err := Sweep(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("sweep with a panicking substrate reported success")
+	}
+	for _, want := range []string{"scarce: item", "env=fd-full", "substrate exploded"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// parentJournal pins the scarce checkpoint format: a journal byte for
+// byte as earlier versions wrote it (header, two records, a torn tail)
+// for sweepCfg(testDeps(), fd-full) with Budget 2.  Resuming it must
+// replay both items without a probe.
+const parentJournal = `{"v":1,"kind":"scarcesweep","id":"2d41455592d5d15e"}
+{"i":0,"r":{"p":2,"l":2,"f":{"api":"clib","mut":"leaky_open","env":{"name":"fd-full","handles":-1,"fds":0,"heap_pages":-1,"disk_ops":-1,"procs":-1,"socks":-1},"case":[],"verdicts":{"linux":{"class":1,"code":24,"fired":1,"degrade":"graceful","leak":{"handles":1},"leaked":true},"winnt":{"class":1,"code":24,"fired":1,"degrade":"graceful","leak":{"handles":1},"leaked":true}},"violating":true,"signature":"clib|leaky_open|fds=0|linux=graceful+leak,winnt=graceful+leak"}}}
+{"i":1,"r":{"p":2}}
+{"i":1,"r":{"p`
+
+func TestCheckpointResumesParentJournalFormat(t *testing.T) {
+	deps := testDeps()
+	cfg := sweepCfg(deps, []Env{fdFull()})
+	cfg.Budget = 2
+	ref, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if err := os.WriteFile(path, []byte(parentJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	cfg.Deps = &Deps{
+		NewRunner: func(o osprofile.OS) *core.Runner {
+			calls++
+			return deps.NewRunner(o)
+		},
+		MuTs:     deps.MuTs,
+		Registry: deps.Registry,
+	}
+	cfg.Checkpoint = path
+	got, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("resume re-evaluated %d probes, want 0", calls)
+	}
+	refJSON, _ := json.Marshal(ref)
+	gotJSON, _ := json.Marshal(got)
+	if string(gotJSON) != string(refJSON) {
+		t.Errorf("report resumed from the old journal differs:\n got %s\nwant %s", gotJSON, refJSON)
+	}
+}

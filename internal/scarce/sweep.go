@@ -3,11 +3,13 @@ package scarce
 import (
 	"context"
 	"fmt"
-	"sync"
+	"hash/fnv"
+	"strings"
 
 	"ballista/internal/catalog"
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 	"ballista/internal/telemetry/span"
 )
 
@@ -62,6 +64,9 @@ type item struct {
 	oses []osprofile.OS
 }
 
+// key names the item in spans and errors.
+func (it item) key() string { return fmt.Sprintf("%s %s env=%s", it.m.API, it.m.Name, it.env.Name) }
+
 // enumerate builds the item list: environment-major over the MuT union
 // across the OS set.  The union is keyed (API, name) in first-seen
 // order — OS order first, catalog order within an OS — so enumeration
@@ -98,6 +103,22 @@ func enumerate(deps *Deps, envs []Env, oses []osprofile.OS, budget int) ([]item,
 	return items, len(order)
 }
 
+// sweepID fingerprints the sweep identity so a journal from a different
+// configuration cannot silently poison a resume.
+func sweepID(cfg Config, envs []Env, oses []osprofile.OS, items int) string {
+	h := fnv.New64a()
+	var wire, keys []string
+	for _, o := range oses {
+		wire = append(wire, o.WireName())
+	}
+	for _, e := range envs {
+		keys = append(keys, e.Key())
+	}
+	fmt.Fprintf(h, "%d|%d|%s|%s|%d",
+		cfg.Seed, cfg.Budget, strings.Join(keys, ";"), strings.Join(wire, ","), items)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // Sweep runs every catalog MuT inside every scarcity environment across
 // the OS set and applies the three scarce oracles: CRASH severity under
 // scarcity, graceful degradation, and error-path resource leaks.
@@ -122,13 +143,14 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	items, muts := enumerate(cfg.Deps, envs, oses, cfg.Budget)
 
-	var journal *ckptJournal
-	done := make(map[int]*itemResult)
+	results := make([]*itemResult, len(items))
+	var journal *sweep.Checkpoint[itemResult]
 	if cfg.Checkpoint != "" {
 		var err error
-		journal, done, err = openJournal(cfg.Checkpoint, cfg, envs, oses, len(items))
+		journal, results, err = sweep.OpenCheckpoint[itemResult](cfg.Checkpoint, "scarcesweep",
+			sweepID(cfg, envs, oses, len(items)), len(items))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scarce: %w", err)
 		}
 		defer journal.Close()
 	}
@@ -137,52 +159,35 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		fmt.Sprintf("seed=%d envs=%d oses=%d muts=%d items=%d", cfg.Seed, len(envs), len(oses), muts, len(items)))
 	defer parent.End()
 
-	results := make([]*itemResult, len(items))
 	var todo []int
-	for i := range items {
-		if r, ok := done[i]; ok {
-			results[i] = r
-		} else {
+	for i, r := range results {
+		if r == nil {
 			todo = append(todo, i)
 		}
 	}
 
-	jobs := make(chan int)
-	var mu sync.Mutex // guards results writes and journal appends
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				it := items[i]
-				is := cfg.Spans.StartSampled("scarceitem",
-					fmt.Sprintf("%s %s env=%s", it.m.API, it.m.Name, it.env.Name)).SetParent(parent.ID())
-				r := evalItem(cfg.Deps, it.env, it.m, it.oses, cfg.Seed)
-				is.End()
-				mu.Lock()
-				results[i] = r
-				if journal != nil {
-					journal.append(i, r)
-				}
-				mu.Unlock()
+	eval := func(_ context.Context, i int, _ bool) error {
+		it := items[i]
+		is := cfg.Spans.StartSampled("scarceitem", it.key()).SetParent(parent.ID())
+		r := evalItem(cfg.Deps, it.env, it.m, it.oses, cfg.Seed)
+		is.End()
+		results[i] = r
+		if journal != nil {
+			if err := journal.Append(i, r); err != nil {
+				return fmt.Errorf("scarce: checkpointing item %d: %w", i, err)
 			}
-		}()
-	}
-	var cancelled error
-feed:
-	for _, i := range todo {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
 		}
+		return nil
 	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
-		return nil, cancelled
+	pool := sweep.Pool{
+		Workers: workers,
+		Worker:  func(int) sweep.EvalFunc { return eval },
+		GiveUp: func(f sweep.Fault) error {
+			return fmt.Errorf("scarce: item %s: %w", items[f.Unit].key(), f)
+		},
+	}
+	if _, err := pool.Run(ctx, todo); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -228,7 +233,7 @@ feed:
 			}
 			ev := core.ScarceEvent{
 				Seq: i, MuT: it.m.Name, API: apiWire(it.m.API), Env: it.env.Name,
-				OSes: probed,
+				OSes:    probed,
 				Crashed: r.Crashed, Leaked: r.Leaked, Ungraceful: r.Ungraceful,
 			}
 			if f != nil {

@@ -1,19 +1,20 @@
-package farm
+package sweep
 
 import "sync"
 
-// deque is one worker's shard queue.  The owner pops from the front so
-// it walks its partition in catalog order; an idle worker steals the
+// deque is one worker's unit queue.  The owner pops from the front so
+// it walks its partition in index order; an idle worker steals the
 // back half of a victim's queue, taking the work the owner is furthest
-// from reaching.  A mutex per deque is plenty: shards are coarse (one
-// full MuT campaign, thousands of simulated test cases), so contention
-// on the queue is negligible next to the work it hands out.
+// from reaching.  A mutex per deque is plenty: units are coarse (a full
+// MuT campaign, a chain on a fresh machine per OS, a crash-state
+// enumeration), so contention on the queue is negligible next to the
+// work it hands out.
 type deque struct {
 	mu    sync.Mutex
 	items []int
 }
 
-// popFront removes and returns the owner's next shard index.
+// popFront removes and returns the owner's next unit.
 func (d *deque) popFront() (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -41,7 +42,7 @@ func (d *deque) stealHalf() []int {
 	return stolen
 }
 
-// push appends shard indices to the back of the deque (used to load an
+// push appends units to the back of the deque (used to load an
 // initial partition or bank stolen work).
 func (d *deque) push(idxs ...int) {
 	d.mu.Lock()
