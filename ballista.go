@@ -12,6 +12,7 @@ package ballista
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"ballista/internal/catalog"
@@ -155,11 +156,15 @@ var (
 	posixImpls = posixapi.Impls()
 )
 
-// suiteRegistry builds the full data-type registry (exposed for tests
-// and tools that need value indices).
-func suiteRegistry() *core.Registry { return suite.NewRegistry() }
+// suiteRegistry is the full data-type registry, built once per process
+// on first use.  The registry is immutable once built, so every runner,
+// farm worker, fleet executor, explorer and scarcity probe shares this
+// one instance.
+var suiteRegistry = sync.OnceValue(suite.NewRegistry)
 
-// Registry returns the full Ballista data-type registry.
+// Registry returns the process-wide Ballista data-type registry (for
+// tests and tools that need value indices).  It is shared by every
+// engine the facade builds and must be treated as read-only.
 func Registry() *core.Registry { return suiteRegistry() }
 
 // NewRunner builds a campaign runner for one OS variant.
@@ -168,7 +173,7 @@ func NewRunner(o OS, opts ...Option) *core.Runner {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return core.NewRunner(cfg, suite.NewRegistry(), Dispatch, suite.SetupFixtures)
+	return core.NewRunner(cfg, suiteRegistry(), Dispatch, suite.SetupFixtures)
 }
 
 // Run executes the full campaign for one OS variant: every supported MuT
@@ -222,7 +227,7 @@ func NewFarm(o OS, fc FarmConfig, opts ...Option) *farm.Farm {
 	}
 	return farm.New(
 		farm.Config{Config: cfg, Workers: fc.Workers, Checkpoint: fc.Checkpoint},
-		suite.NewRegistry(), Dispatch, suite.SetupFixtures,
+		suiteRegistry(), Dispatch, suite.SetupFixtures,
 	)
 }
 
@@ -276,7 +281,7 @@ func fleetEnv(rec *SpanRecorder, st *ResultStore) fleet.Env {
 			}
 			cfg.Spans = rec
 			cfg.Store = st
-			return farm.NewExecutor(farm.Config{Config: cfg}, suite.NewRegistry(), Dispatch, suite.SetupFixtures), nil
+			return farm.NewExecutor(farm.Config{Config: cfg}, suiteRegistry(), Dispatch, suite.SetupFixtures), nil
 		},
 		NewChainEvaluator: func(spec fleet.CampaignSpec) (fleet.ChainEvaluator, error) {
 			oses := make([]OS, 0, len(spec.OSes))
@@ -290,7 +295,7 @@ func fleetEnv(rec *SpanRecorder, st *ResultStore) fleet.Env {
 			if len(oses) == 0 {
 				return nil, fmt.Errorf("ballista: campaign spec has no OS set")
 			}
-			reg := suite.NewRegistry()
+			reg := suiteRegistry()
 			newRunner := func(o OS) *core.Runner {
 				return core.NewRunner(
 					core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true,
@@ -358,10 +363,10 @@ type Reproducer = explore.Reproducer
 // NewExplorer builds the coverage-guided sequence fuzzer with the full
 // Ballista suite: candidates are chains of catalog calls, coverage is the
 // simulated kernel's state fingerprint, and every candidate runs through
-// the cross-OS differential oracle.  One suite registry is shared across
-// the per-OS runner factory, so a campaign boots machines, not registries.
+// the cross-OS differential oracle.  The per-OS runner factory uses the
+// process-wide suite registry, so a campaign boots machines, not registries.
 func NewExplorer(cfg ExploreConfig) (*explore.Fuzzer, error) {
-	reg := suite.NewRegistry()
+	reg := suiteRegistry()
 	newRunner := func(o OS) *core.Runner {
 		return core.NewRunner(
 			core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true,
@@ -665,9 +670,9 @@ type ScarceEnv = scarce.Env
 // finding document (the scarce third of the golden regression corpus).
 type ScarceReproducer = scarce.Reproducer
 
-// scarceDeps wires the scarce engine to the real suite: fresh runners
-// over the full registry and dispatcher, the per-OS supported catalog,
-// and the shared data-type registry.
+// scarceDeps wires the scarce engine to the real suite: a fresh runner
+// (and so a fresh machine) per probe over the process-wide registry and
+// the dispatcher, the per-OS supported catalog, and that same registry.
 func scarceDeps() *scarce.Deps {
 	return &scarce.Deps{
 		NewRunner: func(o OS) *core.Runner { return NewRunner(o) },

@@ -443,6 +443,18 @@ func newTestRegistry(t *testing.T) *core.Registry {
 	return suiteRegistry()
 }
 
+// TestNewRunnerSharesSuiteRegistry: the facade builds the suite registry
+// once per process, so a runner costs a handful of allocations instead
+// of a registry rebuild (~1000) — the scarce sweep builds one per probe.
+func TestNewRunnerSharesSuiteRegistry(t *testing.T) {
+	if Registry() != Registry() {
+		t.Fatal("Registry() returned two different instances")
+	}
+	if n := testing.AllocsPerRun(20, func() { NewRunner(WinNT) }); n > 10 {
+		t.Errorf("NewRunner(WinNT) allocates %.0f times, want <= 10", n)
+	}
+}
+
 // TestContinueAfterCrash: with the paper's stop-on-crash behaviour
 // disabled, a MuT's campaign runs to completion across reboots and can
 // record multiple Catastrophic cases.

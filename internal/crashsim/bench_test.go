@@ -14,6 +14,7 @@ import (
 func BenchmarkCrashEnum(b *testing.B) {
 	oses := osprofile.All()
 	workloads := Enumerate(nil, 2, 7, 24)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, w := range workloads {

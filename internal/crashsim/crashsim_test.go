@@ -55,13 +55,39 @@ func TestFullyPersistedStateAlwaysLegal(t *testing.T) {
 		pol := PolicyFor(o)
 		for _, w := range Enumerate(nil, 2, 7, 40) {
 			ex := run(w, nil, pol)
+			base := baseState(ex)
 			for cp := 1; cp <= len(w.Ops); cp++ {
-				states := enumerateStates(ex, cp, pol)
+				states := enumerateStates(ex, cp, pol, base)
 				if len(states) < 1 {
 					t.Fatalf("%s at %s cp %d: empty legal-state set", o.WireName(), w.Key(), cp)
 				}
+				// States are independent copies: a scratch state
+				// aliased into the result would collapse every key.
+				keys := make(map[string]bool, len(states))
+				for _, st := range states {
+					k := st.Key()
+					if keys[k] {
+						t.Fatalf("%s at %s cp %d: duplicate state %s", o.WireName(), w.Key(), cp, k)
+					}
+					keys[k] = true
+				}
 			}
 		}
+	}
+}
+
+func TestDiskStateKeyFormat(t *testing.T) {
+	// Paths sorted as "path=id;", then "|", then file objects by id as
+	// "id:nlink:hexdata;" — an empty file renders no data digits.
+	st := &DiskState{
+		Entries: map[string]int{"f1": 3, "f0": 2},
+		Files: map[int]*fileState{
+			3: {Data: []byte{0xde, 0xad, 0x01}, Nlink: 1},
+			2: {Nlink: 1},
+		},
+	}
+	if got, want := st.Key(), "f0=2;f1=3;|2:1:;3:1:dead01;"; got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
 	}
 }
 

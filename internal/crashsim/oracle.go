@@ -76,20 +76,19 @@ func Evaluate(w Workload, names []string, oses []osprofile.OS) *Finding {
 		v := &Verdict{Results: ex.results}
 		base := baseState(ex)
 		for cp := 1; cp <= len(w.Ops); cp++ {
-			states := enumerateStates(ex, cp, pol)
 			pending := ex.log.Records()[ex.baseLen:ex.marks[cp-1]]
 			union := make(map[string]bool)
-			for _, st := range states {
+			states := visitStates(ex, cp, pol, base, func(st *DiskState) {
 				for _, viol := range checkState(st, base, pending, pol) {
 					union[viol] = true
 				}
-			}
+			})
 			vs := make([]string, 0, len(union))
 			for name := range union {
 				vs = append(vs, name)
 			}
 			sort.Strings(vs)
-			v.States = append(v.States, len(states))
+			v.States = append(v.States, states)
 			v.Violations = append(v.Violations, vs)
 		}
 		f.Verdicts[o.WireName()] = v

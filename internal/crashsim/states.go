@@ -1,9 +1,9 @@
 package crashsim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/hex"
+	"slices"
+	"strconv"
 
 	"ballista/internal/chaos"
 	"ballista/internal/sim/fs"
@@ -16,12 +16,28 @@ type fileState struct {
 	Nlink int
 }
 
+// resize sets the file's length to n, zero-filling any growth (a sparse
+// hole) and reusing the data buffer's spare capacity.
+func (f *fileState) resize(n int64) {
+	old := len(f.Data)
+	if n <= int64(old) {
+		f.Data = f.Data[:n]
+		return
+	}
+	f.Data = slices.Grow(f.Data, int(n)-old)[:n]
+	clear(f.Data[old:])
+}
+
 // DiskState is one legal post-crash disk image: directory entries
 // (path → file object id) plus file objects.  Ids are the persistence
 // log's node ids.
 type DiskState struct {
 	Entries map[string]int
 	Files   map[int]*fileState
+
+	// spare parks file objects reset dropped, so ensure can reuse them
+	// (and their data buffers) instead of allocating.
+	spare []*fileState
 }
 
 func newDiskState() *DiskState {
@@ -41,10 +57,36 @@ func (st *DiskState) clone() *DiskState {
 	return c
 }
 
+// reset turns st into a copy of base, reusing st's maps, file objects
+// and data buffers.
+func (st *DiskState) reset(base *DiskState) {
+	clear(st.Entries)
+	for p, id := range base.Entries {
+		st.Entries[p] = id
+	}
+	for _, f := range st.Files {
+		st.spare = append(st.spare, f)
+	}
+	clear(st.Files)
+	for id, b := range base.Files {
+		f := st.ensure(id)
+		f.Nlink = b.Nlink
+		f.Data = append(f.Data, b.Data...)
+	}
+}
+
+// ensure returns the file object for id, adding an empty one (link
+// count 0, no data) when the state has none.
 func (st *DiskState) ensure(id int) *fileState {
 	f, ok := st.Files[id]
 	if !ok {
-		f = &fileState{}
+		if n := len(st.spare); n > 0 {
+			f = st.spare[n-1]
+			st.spare = st.spare[:n-1]
+			f.Nlink, f.Data = 0, f.Data[:0]
+		} else {
+			f = &fileState{}
+		}
 		st.Files[id] = f
 	}
 	return f
@@ -63,26 +105,50 @@ func (st *DiskState) entryCount(id int) int {
 
 // Key renders a canonical fingerprint of the state for deduplication.
 func (st *DiskState) Key() string {
-	paths := make([]string, 0, len(st.Entries))
+	var k keyer
+	return string(k.render(st))
+}
+
+// keyer renders state keys into reused buffers: paths sorted, each as
+// "path=id;", then "|", then each file object (ids sorted) as
+// "id:nlink:hexdata;".
+type keyer struct {
+	buf   []byte
+	paths []string
+	ids   []int
+}
+
+// render returns st's key; the bytes are valid until the next call.
+func (k *keyer) render(st *DiskState) []byte {
+	k.paths = k.paths[:0]
 	for p := range st.Entries {
-		paths = append(paths, p)
+		k.paths = append(k.paths, p)
 	}
-	sort.Strings(paths)
-	ids := make([]int, 0, len(st.Files))
+	slices.Sort(k.paths)
+	k.ids = k.ids[:0]
 	for id := range st.Files {
-		ids = append(ids, id)
+		k.ids = append(k.ids, id)
 	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, p := range paths {
-		fmt.Fprintf(&b, "%s=%d;", p, st.Entries[p])
+	slices.Sort(k.ids)
+	b := k.buf[:0]
+	for _, p := range k.paths {
+		b = append(b, p...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(st.Entries[p]), 10)
+		b = append(b, ';')
 	}
-	b.WriteString("|")
-	for _, id := range ids {
+	b = append(b, '|')
+	for _, id := range k.ids {
 		f := st.Files[id]
-		fmt.Fprintf(&b, "%d:%d:%x;", id, f.Nlink, f.Data)
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(f.Nlink), 10)
+		b = append(b, ':')
+		b = hex.AppendEncode(b, f.Data)
+		b = append(b, ';')
 	}
-	return b.String()
+	k.buf = b
+	return b
 }
 
 // Application modes for one metadata record in a partial state.
@@ -123,22 +189,10 @@ func (st *DiskState) apply(r fs.PersistRecord, mode metaMode, torn bool) {
 			data = data[:chaos.TornSplit(len(data))]
 		}
 		f := st.ensure(r.Node)
-		end := r.Off + int64(len(data))
-		if end > int64(len(f.Data)) {
-			grown := make([]byte, end)
-			copy(grown, f.Data)
-			f.Data = grown
-		}
+		f.resize(max(r.Off+int64(len(data)), int64(len(f.Data))))
 		copy(f.Data[r.Off:], data)
 	case fs.PersistTruncate:
-		f := st.ensure(r.Node)
-		if r.Size <= int64(len(f.Data)) {
-			f.Data = f.Data[:r.Size]
-		} else {
-			grown := make([]byte, r.Size)
-			copy(grown, f.Data)
-			f.Data = grown
-		}
+		st.ensure(r.Node).resize(r.Size)
 	case fs.PersistCreate, fs.PersistMkdir:
 		if mode == modeAbsent {
 			return
@@ -207,14 +261,25 @@ type dataCut struct {
 }
 
 // enumerateStates returns every legal post-crash disk state at crash
-// point cp (1-based: the crash lands after op cp-1), deduplicated, in
-// deterministic first-generation order.  The fully-persisted state is
-// always a member: "no reordering happened" is legal under every
-// policy.
-func enumerateStates(ex *execution, cp int, pol Policy) []*DiskState {
+// point cp, in visitStates order, each an independent copy.
+func enumerateStates(ex *execution, cp int, pol Policy, base *DiskState) []*DiskState {
+	var out []*DiskState
+	visitStates(ex, cp, pol, base, func(st *DiskState) { out = append(out, st.clone()) })
+	return out
+}
+
+// visitStates calls visit once for every distinct legal post-crash disk
+// state at crash point cp (1-based: the crash lands after op cp-1), in
+// deterministic first-generation order, and returns how many there
+// were.  base is the pre-workload image (baseState).  The fully
+// persisted state is always a member: "no reordering happened" is legal
+// under every policy.
+//
+// Every state is rebuilt in one scratch DiskState, so visit must not
+// retain or modify the state it is handed; clone it to keep it.
+func visitStates(ex *execution, cp int, pol Policy, base *DiskState, visit func(*DiskState)) int {
 	recs := ex.log.Records()
 	pending := recs[ex.baseLen:ex.marks[cp-1]]
-	base := baseState(ex)
 
 	// Forced records: an fsync barrier commits every earlier data record
 	// on its node; under FsyncEntries it also commits the node's entry
@@ -288,127 +353,108 @@ func enumerateStates(ex *execution, cp int, pol Policy) []*DiskState {
 			metaIdx = append(metaIdx, i)
 		}
 	}
-	var metaCombos [][]metaMode
+	metaFloor := 0
+	var metaOptions [][]metaMode
 	if pol.OrderedMeta {
-		floor := 0
 		for k, i := range metaIdx {
 			if forced[i] {
-				floor = k + 1
+				metaFloor = k + 1
 			}
-		}
-		for cut := floor; cut <= len(metaIdx); cut++ {
-			modes := make([]metaMode, len(metaIdx))
-			for k := range modes {
-				if k < cut {
-					modes[k] = modeFull
-				} else {
-					modes[k] = modeAbsent
-				}
-			}
-			metaCombos = append(metaCombos, modes)
 		}
 	} else {
-		options := make([][]metaMode, len(metaIdx))
+		metaOptions = make([][]metaMode, len(metaIdx))
 		for k, i := range metaIdx {
 			r := pending[i]
 			switch {
 			case forced[i]:
-				options[k] = []metaMode{modeFull}
+				metaOptions[k] = []metaMode{modeFull}
 			case r.Kind == fs.PersistRename && !pol.AtomicRename && pol.SplitMeta:
-				options[k] = []metaMode{modeAbsent, modeAddOnly, modeRemoveOnly, modeFull}
+				metaOptions[k] = []metaMode{modeAbsent, modeAddOnly, modeRemoveOnly, modeFull}
 			case r.Kind == fs.PersistLink && pol.SplitMeta && pol.Links:
-				options[k] = []metaMode{modeAbsent, modeAddOnly, modeNlinkOnly, modeFull}
+				metaOptions[k] = []metaMode{modeAbsent, modeAddOnly, modeNlinkOnly, modeFull}
 			case r.Kind == fs.PersistRemove && pol.SplitMeta && pol.Links:
-				options[k] = []metaMode{modeAbsent, modeAddOnly, modeNlinkOnly, modeFull}
+				metaOptions[k] = []metaMode{modeAbsent, modeAddOnly, modeNlinkOnly, modeFull}
 			default:
-				options[k] = []metaMode{modeAbsent, modeFull}
+				metaOptions[k] = []metaMode{modeAbsent, modeFull}
 			}
 		}
-		metaCombos = cartesian(options)
-	}
-	if len(metaCombos) == 0 {
-		metaCombos = [][]metaMode{nil}
 	}
 
-	dataCombos := cartesianCuts(dataChoices)
-	if len(dataCombos) == 0 {
-		dataCombos = [][]dataCut{nil}
+	// A combination is an odometer reading, last digit fastest: the
+	// metadata digits (one journal cut, or one per record), then one
+	// digit per data node.
+	var radix []int
+	if pol.OrderedMeta {
+		radix = append(radix, len(metaIdx)-metaFloor+1)
 	}
+	for _, opts := range metaOptions {
+		radix = append(radix, len(opts))
+	}
+	metaDigits := len(radix)
+	for _, cuts := range dataChoices {
+		radix = append(radix, len(cuts))
+	}
+	digit := make([]int, len(radix))
 
-	seen := make(map[string]bool)
-	var out []*DiskState
-	for _, mc := range metaCombos {
-		for _, dc := range dataCombos {
-			st := base.clone()
-			// Resolve each record's application from the combination,
-			// then land them in log order.
-			metaAt := make(map[int]metaMode)
+	// Each record's application under the current combination.
+	mode := make([]metaMode, len(pending))
+	torn := make([]bool, len(pending))
+
+	st := newDiskState()
+	var keys keyer
+	seen := make(map[string]struct{})
+	for {
+		if pol.OrderedMeta {
+			cut := metaFloor + digit[0]
 			for k, i := range metaIdx {
-				metaAt[i] = mc[k]
-			}
-			fullAt := make(map[int]bool)
-			tornAt := make(map[int]bool)
-			for ni := range dataNodes {
-				cut := dc[ni]
-				idx := dataIdx[dataNodes[ni]]
-				for k := 0; k < cut.Full; k++ {
-					fullAt[idx[k]] = true
-				}
-				if cut.Torn {
-					tornAt[idx[cut.Full]] = true
+				mode[i] = modeAbsent
+				if k < cut {
+					mode[i] = modeFull
 				}
 			}
-			for i, r := range pending {
-				switch {
-				case isData(r.Kind):
-					if fullAt[i] {
-						st.apply(r, modeFull, false)
-					} else if tornAt[i] {
-						st.apply(r, modeFull, true)
-					}
-				case isMeta(r.Kind):
-					st.apply(r, metaAt[i], false)
-				}
-			}
-			if k := st.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, st)
+		} else {
+			for k, i := range metaIdx {
+				mode[i] = metaOptions[k][digit[k]]
 			}
 		}
-	}
-	return out
-}
+		for ni, node := range dataNodes {
+			cut := dataChoices[ni][digit[metaDigits+ni]]
+			for k, i := range dataIdx[node] {
+				mode[i] = modeAbsent
+				if k < cut.Full {
+					mode[i] = modeFull
+				}
+				torn[i] = cut.Torn && k == cut.Full
+			}
+		}
 
-func cartesian(options [][]metaMode) [][]metaMode {
-	combos := [][]metaMode{nil}
-	for _, opts := range options {
-		var next [][]metaMode
-		for _, c := range combos {
-			for _, o := range opts {
-				nc := make([]metaMode, len(c)+1)
-				copy(nc, c)
-				nc[len(c)] = o
-				next = append(next, nc)
+		// Land the records in log order.
+		st.reset(base)
+		for i, r := range pending {
+			switch {
+			case isData(r.Kind):
+				if mode[i] == modeFull || torn[i] {
+					st.apply(r, modeFull, torn[i])
+				}
+			case isMeta(r.Kind):
+				st.apply(r, mode[i], false)
 			}
 		}
-		combos = next
-	}
-	return combos
-}
+		k := keys.render(st)
+		if _, dup := seen[string(k)]; !dup {
+			seen[string(k)] = struct{}{}
+			visit(st)
+		}
 
-func cartesianCuts(options [][]dataCut) [][]dataCut {
-	combos := [][]dataCut{nil}
-	for _, opts := range options {
-		var next [][]dataCut
-		for _, c := range combos {
-			for _, o := range opts {
-				nc := make([]dataCut, len(c)+1)
-				copy(nc, c)
-				nc[len(c)] = o
-				next = append(next, nc)
+		d := len(digit) - 1
+		for ; d >= 0; d-- {
+			if digit[d]++; digit[d] < radix[d] {
+				break
 			}
+			digit[d] = 0
 		}
-		combos = next
+		if d < 0 {
+			return len(seen)
+		}
 	}
-	return combos
 }

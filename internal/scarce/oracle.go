@@ -13,8 +13,9 @@ import (
 
 // Deps supplies the execution substrate the sweep needs without tying
 // this package to the facade: a fresh runner per probe (fresh machines
-// are what make results independent of worker count), the per-OS MuT
-// catalog, and the test-value registry for picking the all-valid case.
+// are what make results independent of worker count) over one shared,
+// read-only test-value registry, the per-OS MuT catalog, and that
+// registry itself for picking the all-valid case.
 type Deps struct {
 	NewRunner func(o osprofile.OS) *core.Runner
 	MuTs      func(o osprofile.OS) []catalog.MuT
@@ -187,9 +188,9 @@ func degrade(m catalog.MuT, p *core.ScarceProbe) string {
 }
 
 // evalVerdict probes one MuT on one OS inside env and grades it.  A
-// fresh runner (fresh simulated machine) per probe keeps the result a
-// pure function of (OS, MuT, case, env, seed), independent of item
-// scheduling across workers.
+// fresh runner (fresh simulated machine) per probe, over the shared
+// read-only registry, keeps the result a pure function of (OS, MuT,
+// case, env, seed), independent of item scheduling across workers.
 func evalVerdict(deps *Deps, o osprofile.OS, m catalog.MuT, tc core.Case, env Env, seed uint64) *Verdict {
 	r := deps.NewRunner(o)
 	probe, err := r.RunScarceProbe(m, tc, false, env.Plan(seed))

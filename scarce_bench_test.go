@@ -16,6 +16,7 @@ import (
 func BenchmarkScarceSweep(b *testing.B) {
 	cfg := ballista.ScarceConfig{Seed: 7, Budget: 50, Workers: 8}
 	var probes int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := ballista.ScarceSweep(context.Background(), cfg)
