@@ -256,6 +256,20 @@ func (k *Kernel) Reboot() {
 	k.stats.Reboots++
 }
 
+// processBlock is everything a fresh process owns at birth: the process
+// and its main thread, their kernel objects, and the three console pipes
+// with their objects and descriptors.  NewProcess allocates it in one
+// piece because every test case starts a process.
+type processBlock struct {
+	proc       Process
+	thread     Thread
+	procObj    Object
+	threadObj  Object
+	console    [3]Pipe
+	consoleObj [3]Object
+	consoleFD  [3]FD
+}
+
 // NewProcess creates a fresh process with its own address space, standard
 // handles and an empty descriptor table.
 func (k *Kernel) NewProcess() *Process {
@@ -266,10 +280,14 @@ func (k *Kernel) NewProcess() *Process {
 		return nil
 	}
 	k.stats.Processes++
-	p := &Process{
+	b := &processBlock{}
+	p := &b.proc
+	*p = Process{
 		K:       k,
 		PID:     k.nextPID,
 		AS:      mem.New(),
+		Thread:  &b.thread,
+		object:  &b.procObj,
 		handles: make(map[Handle]*Object),
 		fds:     make(map[int]*FD),
 		Env:     map[string]string{"PATH": "/bin", "TEMP": "/tmp", "HOME": "/home/ballista"},
@@ -280,23 +298,21 @@ func (k *Kernel) NewProcess() *Process {
 	p.AS.SetStats(&k.memStats)
 	p.AS.SetInjector(k.chaos)
 	k.nextPID++
-	p.Thread = &Thread{Proc: p, TID: p.PID*4 + 1, State: ThreadRunning, Priority: 0}
-	p.object = &Object{Kind: KProcess, Proc: p}
-	p.Thread.object = &Object{Kind: KThread, Thread: p.Thread}
+	b.thread = Thread{Proc: p, TID: p.PID*4 + 1, State: ThreadRunning, Priority: 0, object: &b.threadObj}
+	b.procObj = Object{Kind: KProcess, Proc: p}
+	b.threadObj = Object{Kind: KThread, Thread: &b.thread}
 
 	// Standard console plumbing: handle-table entries for the Win32
 	// surface, descriptors 0/1/2 for the POSIX surface.  The input
 	// console is a pipe with a writer that never writes, so a blocking
 	// read can never complete.
-	stdin := &Object{Kind: KPipe, Pipe: &Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096, Input: true}}
-	stdout := &Object{Kind: KPipe, Pipe: &Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096}}
-	stderr := &Object{Kind: KPipe, Pipe: &Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096}}
-	p.SetStd(0, p.AddHandle(stdin))
-	p.SetStd(1, p.AddHandle(stdout))
-	p.SetStd(2, p.AddHandle(stderr))
-	p.AddFDAt(0, &FD{Pipe: stdin.Pipe, Read: true})
-	p.AddFDAt(1, &FD{Pipe: stdout.Pipe, Write: true})
-	p.AddFDAt(2, &FD{Pipe: stderr.Pipe, Write: true})
+	for i := range b.console {
+		b.console[i] = Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096, Input: i == 0}
+		b.consoleObj[i] = Object{Kind: KPipe, Pipe: &b.console[i]}
+		b.consoleFD[i] = FD{Pipe: &b.console[i], Read: i == 0, Write: i != 0}
+		p.SetStd(i, p.AddHandle(&b.consoleObj[i]))
+		p.AddFDAt(i, &b.consoleFD[i])
+	}
 	return p
 }
 

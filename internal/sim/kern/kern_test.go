@@ -289,3 +289,35 @@ func TestPIDsDistinct(t *testing.T) {
 		t.Error("duplicate PIDs")
 	}
 }
+
+// TestNewProcessAllocs pins the cost of a fresh process: the process,
+// its thread and its console plumbing come in one block, beside the
+// address space and the handle, descriptor and environment tables.
+func TestNewProcessAllocs(t *testing.T) {
+	k := New(ArchNT)
+	if n := testing.AllocsPerRun(100, func() { _ = k.NewProcess() }); n > 10 {
+		t.Errorf("NewProcess: %v allocations, want at most 10", n)
+	}
+	p := k.NewProcess()
+	for i := 0; i < 3; i++ {
+		o := p.Handle(p.Std(i))
+		fd := p.FD(i)
+		if o == nil || o.Kind != KPipe || fd == nil || fd.Pipe != o.Pipe {
+			t.Fatalf("std slot %d: handle %v, fd %v do not share one console pipe", i, o, fd)
+		}
+		if fd.Read != (i == 0) || fd.Write != (i != 0) || o.Pipe.Input != (i == 0) {
+			t.Errorf("std slot %d: read=%v write=%v input=%v", i, fd.Read, fd.Write, o.Pipe.Input)
+		}
+	}
+	if p.Handle(PseudoThread).Thread != p.Thread || p.Handle(PseudoProcess).Proc != p {
+		t.Error("pseudo-handles do not resolve to the process's own thread and process")
+	}
+}
+
+func BenchmarkNewProcess(b *testing.B) {
+	k := New(ArchNT)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = k.NewProcess()
+	}
+}

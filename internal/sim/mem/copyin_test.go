@@ -267,7 +267,7 @@ func TestReadUnwrittenPages(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("Read across an unwritten page = %q...%q", got[:2*mask], got[len(got)-2*mask:])
 	}
-	if as.pages[pageNum(base+PageSize)].data != nil {
+	if as.data[pageNum(base+PageSize)] != nil {
 		t.Error("Read allocated the unwritten page")
 	}
 
@@ -279,7 +279,7 @@ func TestReadUnwrittenPages(t *testing.T) {
 	if v, f := as.ReadU32(base + 2*PageSize - 2); f != nil || v != 0x3F3F0000 {
 		t.Errorf("ReadU32 into the masked page = %#x, %v", v, f)
 	}
-	if as.pages[pageNum(base+PageSize)].data != nil {
+	if as.data[pageNum(base+PageSize)] != nil {
 		t.Error("scalar reads allocated the unwritten page")
 	}
 }

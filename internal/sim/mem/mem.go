@@ -11,14 +11,19 @@
 // process instead of corrupting the machine.
 //
 // Addresses are plain uint32 values inside a per-process page table; no
-// host memory is ever at risk.  All faults are reported as *Fault values,
-// never as Go panics.
+// host memory is ever at risk.  The page table records mapped pages as
+// runs (extents) of equal protection and keeps contents only for pages
+// that have been written, so reserving gigabytes costs a few runs, not a
+// heap object per page.  All faults are reported as *Fault values, never
+// as Go panics.
 package mem
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"ballista/internal/chaos"
 )
@@ -200,15 +205,30 @@ func (s *Stats) LiveBlocks() uint64 {
 	return s.Allocs - s.Frees
 }
 
-type page struct {
-	prot Prot
-	data []byte // allocated lazily on first write
+// extent is one run of mapped pages [lo, hi), all with the same
+// protection.  Page numbers, not addresses, so the run ending at the top
+// of the 4 GiB space fits.
+type extent struct {
+	lo, hi uint32
+	prot   Prot
 }
 
 // AddressSpace is one simulated process's view of memory.  The zero value
 // is not usable; call New.
+//
+// The page table is two structures: the mapped pages as disjoint,
+// sorted extents, and the contents of only those pages that have been
+// written.  Mapping, unmapping or protecting a range costs the runs it
+// touches, not its pages, so a 2 GiB reservation is as cheap as a
+// one-page one (an attached chaos injector still draws one decision per
+// fresh page); a mapped page that was never written reads as zeros.
 type AddressSpace struct {
-	pages map[uint32]*page // page number -> page
+	// ext holds the mapped pages as runs sorted by lo; no two overlap,
+	// and touching runs always differ in protection.
+	ext []extent
+	// data holds the contents of written pages, keyed by page number.
+	// Every key is a mapped page: unmapping a page drops its contents.
+	data map[uint32]*[PageSize]byte
 
 	// userNext is the bump pointer for Alloc within the user arena.
 	userNext Addr
@@ -230,6 +250,10 @@ type AddressSpace struct {
 	// inj, when non-nil, deterministically injects commit failures at
 	// the Map fault point (the owning kernel attaches it).
 	inj *chaos.Injector
+
+	// extBuf backs ext until a process maps more runs than it holds, so
+	// a typical case's page table costs no allocation of its own.
+	extBuf [8]extent
 }
 
 // SetInjector attaches a chaos injector session; nil detaches it.
@@ -247,36 +271,130 @@ func (as *AddressSpace) MappedBytes() uint64 { return as.mapped }
 
 // New creates an empty address space with nothing mapped.
 func New() *AddressSpace {
-	return &AddressSpace{
-		pages:    make(map[uint32]*page),
+	as := &AddressSpace{
 		userNext: UserBase,
 		sysNext:  SystemBase + 0x01000000, // leave a window of unmapped system arena
-		allocs:   make(map[Addr]uint32),
 	}
+	as.ext = as.extBuf[:0]
+	return as
 }
 
 func pageNum(a Addr) uint32 { return uint32(a) >> PageShift }
 
 func pageOff(a Addr) uint32 { return uint32(a) & (PageSize - 1) }
 
+// pageRange returns the page numbers [lo, hi) intersecting
+// [addr, addr+size), or ok=false when size is zero or the range wraps.
+func pageRange(addr Addr, size uint32) (lo, hi uint32, ok bool) {
+	end := addr + Addr(size-1)
+	if size == 0 || end < addr {
+		return 0, 0, false
+	}
+	return pageNum(addr), pageNum(end) + 1, true
+}
+
+// find returns the index of the first run ending after page pn: the run
+// holding pn if it is mapped, else the next run above it.
+func (as *AddressSpace) find(pn uint32) int {
+	return sort.Search(len(as.ext), func(i int) bool { return as.ext[i].hi > pn })
+}
+
+// lookup returns the run holding page pn, if it is mapped.
+func (as *AddressSpace) lookup(pn uint32) (extent, bool) {
+	i := as.find(pn)
+	if i < len(as.ext) && as.ext[i].lo <= pn {
+		return as.ext[i], true
+	}
+	return extent{}, false
+}
+
+// lacking returns the first page of [lo, hi) that is unmapped or mapped
+// without every bit of need, or hi when there is none.
+func (as *AddressSpace) lacking(lo, hi uint32, need Prot) uint32 {
+	cur := lo
+	for i := as.find(lo); i < len(as.ext) && cur < hi; i++ {
+		if e := as.ext[i]; e.lo <= cur && e.prot&need == need {
+			cur = e.hi
+		} else {
+			break
+		}
+	}
+	return min(cur, hi)
+}
+
+// count returns how many pages of [lo, hi) are mapped, and how many of
+// those are mapped with a protection other than prot.
+func (as *AddressSpace) count(lo, hi uint32, prot Prot) (mapped, differ uint32) {
+	for i := as.find(lo); i < len(as.ext) && as.ext[i].lo < hi; i++ {
+		e := as.ext[i]
+		n := min(e.hi, hi) - max(e.lo, lo)
+		mapped += n
+		if e.prot != prot {
+			differ += n
+		}
+	}
+	return mapped, differ
+}
+
+// paint maps pages [lo, hi) as one run of prot, or unmaps them when
+// unmap is set.  It splits the runs the range cuts and merges the result
+// with touching runs of equal protection; page contents are untouched.
+func (as *AddressSpace) paint(lo, hi uint32, prot Prot, unmap bool) {
+	i := as.find(lo)
+	j := i
+	for j < len(as.ext) && as.ext[j].lo < hi {
+		j++
+	}
+	// The replacement for runs [i, j): the left neighbour if it touches
+	// lo, the cut run's part below lo, the painted run, the cut run's
+	// part above hi, and the right neighbour if it touches hi.
+	var buf [5]extent
+	n := 0
+	start, end := i, j
+	if i > 0 && as.ext[i-1].hi == lo {
+		start--
+		buf[n] = as.ext[start]
+		n++
+	}
+	if i < j && as.ext[i].lo < lo {
+		buf[n] = extent{as.ext[i].lo, lo, as.ext[i].prot}
+		n++
+	}
+	if !unmap {
+		buf[n] = extent{lo, hi, prot}
+		n++
+	}
+	if i < j && as.ext[j-1].hi > hi {
+		buf[n] = extent{hi, as.ext[j-1].hi, as.ext[j-1].prot}
+		n++
+	}
+	if j < len(as.ext) && as.ext[j].lo == hi {
+		buf[n] = as.ext[j]
+		n++
+		end++
+	}
+	m := 0
+	for _, e := range buf[:n] {
+		if m > 0 && buf[m-1].hi == e.lo && buf[m-1].prot == e.prot {
+			buf[m-1].hi = e.hi
+			continue
+		}
+		buf[m] = e
+		m++
+	}
+	as.ext = slices.Replace(as.ext, start, end, buf[:m]...)
+}
+
 // Map maps [addr, addr+size) with the given protection, rounding outward
 // to page boundaries.  Mapping over an existing page replaces its
 // protection but preserves its contents.
 func (as *AddressSpace) Map(addr Addr, size uint32, prot Prot) error {
-	if size == 0 {
+	lo, hi, ok := pageRange(addr, size)
+	if !ok {
 		return ErrBadRange
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	if addr+Addr(size-1) < addr { // wrap
-		return ErrBadRange
-	}
-	fresh := uint64(0)
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; !ok {
-			fresh += PageSize
-		}
-	}
+	resident, _ := as.count(lo, hi, prot)
+	fresh := uint64(hi-lo-resident) * PageSize
 	if as.quota != 0 && as.mapped+fresh > as.quota {
 		return ErrNoSpace
 	}
@@ -303,13 +421,7 @@ func (as *AddressSpace) Map(addr Addr, size uint32, prot Prot) error {
 			return ErrNoSpace
 		}
 	}
-	for pn := first; pn <= last; pn++ {
-		if pg, ok := as.pages[pn]; ok {
-			pg.prot = prot
-		} else {
-			as.pages[pn] = &page{prot: prot}
-		}
-	}
+	as.paint(lo, hi, prot, false)
 	as.mapped += fresh
 	if as.stats != nil {
 		as.stats.PagesMapped += fresh / PageSize
@@ -319,19 +431,31 @@ func (as *AddressSpace) Map(addr Addr, size uint32, prot Prot) error {
 
 // Unmap removes all pages intersecting [addr, addr+size).
 func (as *AddressSpace) Unmap(addr Addr, size uint32) error {
-	if size == 0 || addr+Addr(size-1) < addr {
+	lo, hi, ok := pageRange(addr, size)
+	if !ok {
 		return ErrBadRange
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; ok {
-			as.mapped -= PageSize
-			if as.stats != nil {
-				as.stats.PagesUnmapped++
+	gone, _ := as.count(lo, hi, ProtNone)
+	if gone == 0 {
+		return nil
+	}
+	as.paint(lo, hi, ProtNone, true)
+	as.mapped -= uint64(gone) * PageSize
+	if as.stats != nil {
+		as.stats.PagesUnmapped += uint64(gone)
+	}
+	// Drop the range's contents, walking whichever is smaller: the
+	// range's pages or the written pages.
+	if hi-lo <= uint32(len(as.data)) {
+		for pn := lo; pn < hi; pn++ {
+			delete(as.data, pn)
+		}
+	} else {
+		for pn := range as.data {
+			if lo <= pn && pn < hi {
+				delete(as.data, pn)
 			}
 		}
-		delete(as.pages, pn)
 	}
 	return nil
 }
@@ -339,23 +463,20 @@ func (as *AddressSpace) Unmap(addr Addr, size uint32) error {
 // Protect changes the protection of all pages intersecting
 // [addr, addr+size).  It fails with a *Fault if any page is unmapped.
 func (as *AddressSpace) Protect(addr Addr, size uint32, prot Prot) error {
-	if size == 0 || addr+Addr(size-1) < addr {
+	lo, hi, ok := pageRange(addr, size)
+	if !ok {
 		return ErrBadRange
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; !ok {
-			return &Fault{Addr: Addr(pn << PageShift), Kind: FaultUnmapped}
-		}
+	if pn := as.lacking(lo, hi, ProtNone); pn < hi {
+		return &Fault{Addr: Addr(pn << PageShift), Kind: FaultUnmapped}
 	}
-	for pn := first; pn <= last; pn++ {
-		if as.pages[pn].prot != prot {
-			as.pages[pn].prot = prot
-			if as.stats != nil {
-				as.stats.ProtTransitions++
-			}
-		}
+	_, differ := as.count(lo, hi, prot)
+	if differ == 0 {
+		return nil
+	}
+	as.paint(lo, hi, prot, false)
+	if as.stats != nil {
+		as.stats.ProtTransitions += uint64(differ)
 	}
 	return nil
 }
@@ -363,79 +484,63 @@ func (as *AddressSpace) Protect(addr Addr, size uint32, prot Prot) error {
 // Mapped reports whether every byte of [addr, addr+size) is mapped with at
 // least the given protection.
 func (as *AddressSpace) Mapped(addr Addr, size uint32, prot Prot) bool {
-	if size == 0 {
-		size = 1
-	}
-	if addr+Addr(size-1) < addr {
+	lo, hi, ok := pageRange(addr, max(size, 1))
+	if !ok {
 		return false
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		pg, ok := as.pages[pn]
-		if !ok || pg.prot&prot != prot {
-			return false
-		}
-	}
-	return true
+	return as.lacking(lo, hi, prot) == hi
 }
 
 // ProtAt returns the protection of the page containing a and whether the
 // page is mapped.
 func (as *AddressSpace) ProtAt(a Addr) (Prot, bool) {
-	pg, ok := as.pages[pageNum(a)]
-	if !ok {
-		return ProtNone, false
-	}
-	return pg.prot, true
+	e, ok := as.lookup(pageNum(a))
+	return e.prot, ok
 }
 
+// kernelPage is the first page of the kernel range.
+const kernelPage = uint32(KernelBase) >> PageShift
+
 func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
-	if size == 0 {
-		size = 1
-	}
-	if addr+Addr(size-1) < addr {
+	lo, hi, ok := pageRange(addr, max(size, 1))
+	if !ok {
 		return &Fault{Addr: addr, Write: write, Kind: FaultUnmapped}
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		pa := Addr(pn << PageShift)
-		if pa < addr {
-			pa = addr
-		}
-		if _, f := as.probe(pa, write); f != nil {
+	// Every page of a run faults alike, so the walk probes the first
+	// page of each run it crosses, and the kernel range's first page.
+	for pn := lo; pn < hi; {
+		pa := max(Addr(pn<<PageShift), addr)
+		e, f := as.probe(pa, write)
+		if f != nil {
 			return f
+		}
+		if pn < kernelPage && e.hi > kernelPage {
+			pn = kernelPage
+		} else {
+			pn = e.hi
 		}
 	}
 	return nil
 }
 
-// probe returns the page holding a if a user-mode access of the given
+// probe returns the run holding a if a user-mode access of the given
 // direction may touch it, or the fault that access raises at a.
-func (as *AddressSpace) probe(a Addr, write bool) (*page, *Fault) {
+func (as *AddressSpace) probe(a Addr, write bool) (extent, *Fault) {
 	if RegionOf(a) == RegionKernel {
-		return nil, &Fault{Addr: a, Write: write, Kind: FaultKernelRange}
+		return extent{}, &Fault{Addr: a, Write: write, Kind: FaultKernelRange}
 	}
-	pg, ok := as.pages[pageNum(a)]
+	e, ok := as.lookup(pageNum(a))
 	if !ok {
-		return nil, &Fault{Addr: a, Write: write, Kind: FaultUnmapped}
+		return extent{}, &Fault{Addr: a, Write: write, Kind: FaultUnmapped}
 	}
 	need := ProtRead
 	if write {
 		need = ProtWrite
 	}
-	if pg.prot&need != need {
-		return nil, &Fault{Addr: a, Write: write, Kind: FaultProtection}
+	if e.prot&need != need {
+		return extent{}, &Fault{Addr: a, Write: write, Kind: FaultProtection}
 	}
-	return pg, nil
-}
-
-func (pg *page) ensure() []byte {
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
-	}
-	return pg.data
+	return e, nil
 }
 
 // zeroPage stands in for the contents of a mapped page that was never
@@ -470,11 +575,10 @@ func (as *AddressSpace) copyOut(dst []byte, addr Addr) {
 	var done uint32
 	for done < uint32(len(dst)) {
 		a := addr + Addr(done)
-		pg := as.pages[pageNum(a)]
 		off := pageOff(a)
 		n := min(uint32(len(dst))-done, PageSize-off)
-		if pg.data != nil {
-			copy(dst[done:done+n], pg.data[off:])
+		if d := as.data[pageNum(a)]; d != nil {
+			copy(dst[done:done+n], d[off:])
 		}
 		done += n
 	}
@@ -495,13 +599,18 @@ func (as *AddressSpace) Write(addr Addr, data []byte) *Fault {
 		as.countFault()
 		return f
 	}
+	if as.data == nil {
+		as.data = make(map[uint32]*[PageSize]byte)
+	}
 	var done uint32
 	for done < uint32(len(data)) {
 		a := addr + Addr(done)
-		pg := as.pages[pageNum(a)]
-		off := pageOff(a)
-		n := uint32(copy(pg.ensure()[off:], data[done:]))
-		done += n
+		d := as.data[pageNum(a)]
+		if d == nil {
+			d = new([PageSize]byte)
+			as.data[pageNum(a)] = d
+		}
+		done += uint32(copy(d[pageOff(a):], data[done:]))
 	}
 	return nil
 }
@@ -601,16 +710,15 @@ func (as *AddressSpace) CString(addr Addr) (string, *Fault) {
 // span returns the readable bytes from a to the end of its page, at
 // most limit of them, or the fault a one-byte read at a raises.
 func (as *AddressSpace) span(a Addr, limit uint32) ([]byte, *Fault) {
-	pg, f := as.probe(a, false)
-	if f != nil {
+	if _, f := as.probe(a, false); f != nil {
 		as.countFault()
 		return nil, f
 	}
-	b := pg.data
-	if b == nil {
-		b = zeroPage[:]
+	d := as.data[pageNum(a)]
+	if d == nil {
+		d = &zeroPage
 	}
-	b = b[pageOff(a):]
+	b := d[pageOff(a):]
 	if uint32(len(b)) > limit {
 		b = b[:limit]
 	}
@@ -681,7 +789,7 @@ func (as *AddressSpace) Alloc(size uint32, prot Prot) (Addr, error) {
 		return 0, err
 	}
 	as.userNext = base + span
-	as.allocs[base] = pages * PageSize
+	as.track(base, pages*PageSize)
 	if as.stats != nil {
 		as.stats.Allocs++
 	}
@@ -705,11 +813,19 @@ func (as *AddressSpace) AllocSystem(size uint32, prot Prot) (Addr, error) {
 		return 0, err
 	}
 	as.sysNext = base + span
-	as.allocs[base] = pages * PageSize
+	as.track(base, pages*PageSize)
 	if as.stats != nil {
 		as.stats.Allocs++
 	}
 	return base, nil
+}
+
+// track records a live block for Free and BlockSize.
+func (as *AddressSpace) track(base Addr, size uint32) {
+	if as.allocs == nil {
+		as.allocs = make(map[Addr]uint32)
+	}
+	as.allocs[base] = size
 }
 
 // Free unmaps a block previously returned by Alloc or AllocSystem.  The
@@ -736,5 +852,5 @@ func (as *AddressSpace) BlockSize(base Addr) uint32 {
 // PageCount returns the number of mapped pages (used by tests and the
 // leak checker).
 func (as *AddressSpace) PageCount() int {
-	return len(as.pages)
+	return int(as.mapped / PageSize)
 }

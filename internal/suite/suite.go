@@ -13,6 +13,8 @@
 package suite
 
 import (
+	"slices"
+
 	"ballista/internal/core"
 	"ballista/internal/sim/fs"
 	"ballista/internal/sim/kern"
@@ -134,18 +136,12 @@ func prune(k *kern.Kernel, dir string, keep ...string) {
 	if err != nil {
 		return
 	}
-	kept := make(map[string]bool, len(keep))
-	for _, name := range keep {
-		kept[name] = true
-	}
 	base := dir
 	if base != "/" {
 		base += "/"
-	} else {
-		base = "/"
 	}
 	for _, name := range names {
-		if kept[name] {
+		if slices.Contains(keep, name) {
 			continue
 		}
 		p := base + name
